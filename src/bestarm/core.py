@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,10 +74,17 @@ class BanditInstance:
     def K(self) -> int:
         return len(self.means)
 
+    @cached_property
+    def _mean_array(self) -> np.ndarray:
+        """The means as a read-only array, built once per instance."""
+        arr = np.array(self.means)
+        arr.flags.writeable = False
+        return arr
+
     @property
     def best_arm(self) -> int:
         """1-indexed position of the unique maximal mean."""
-        arr = np.asarray(self.means)
+        arr = self._mean_array
         top = arr.max()
         winners = np.flatnonzero(arr == top)
         if winners.size != 1:
@@ -111,7 +119,7 @@ def gap_profile(instance: BanditInstance) -> GapProfile:
     Raises DuplicateBestArm when the maximal mean is attained twice.
     """
     instance.best_arm  # raises DuplicateBestArm on ties
-    mu = np.sort(np.asarray(instance.means))[::-1]
+    mu = np.sort(instance._mean_array)[::-1]
     sub_gaps = mu[0] - mu[1:]  # Delta_a for a != a*, ascending after sort
     sub_gaps = np.sort(sub_gaps)
     gaps = np.concatenate(([sub_gaps[0]], sub_gaps))  # best arm duplicates the min
@@ -144,6 +152,39 @@ def _check_arm(instance: BanditInstance, arm: int) -> int:
     return arm - 1
 
 
+def _arm_array(arms) -> np.ndarray:
+    """Arms as an int64 array; an int64 array passes through uncopied."""
+    if isinstance(arms, np.ndarray):
+        return arms.astype(np.int64, copy=False)
+    try:
+        return np.fromiter(arms, dtype=np.int64)
+    except OverflowError as exc:
+        raise IndexOutOfRange(f"arm index does not fit in int64: {exc}") from exc
+
+
+def _check_arms(instance: BanditInstance, arms: np.ndarray) -> np.ndarray:
+    """0-based indices of an int64 array of arms, range-checked at once."""
+    bad = (arms < 1) | (arms > instance.K)
+    if bad.any():
+        arm = int(arms[np.argmax(bad)])
+        raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
+    return arms - 1
+
+
+def _member_indices(instance: BanditInstance, members) -> np.ndarray:
+    """0-based indices of the distinct members of a group, ascending.
+
+    Raises EmptyGroup for no members and IndexOutOfRange for an arm outside
+    [1, K]. Sorted distinct members, as run_re passes them, skip np.unique.
+    """
+    arms = np.sort(_arm_array(members))
+    if arms.size == 0:
+        raise EmptyGroup("group pull needs at least one member")
+    if (arms[1:] == arms[:-1]).any():
+        arms = np.unique(arms)
+    return _check_arms(instance, arms)
+
+
 def sample_arm(instance: BanditInstance, arm: int, rng: np.random.Generator) -> float:
     """One reward draw from a single arm."""
     idx = _check_arm(instance, arm)
@@ -161,11 +202,8 @@ def sample_group(
     For the Gaussian family the result is N(mean of member means,
     sigma2/|members|).
     """
-    members = sorted(set(int(a) for a in members))
-    if not members:
-        raise EmptyGroup("group pull needs at least one member")
-    idx = np.array([_check_arm(instance, a) for a in members])
-    mu = np.asarray(instance.means)[idx]
+    idx = _member_indices(instance, members)
+    mu = instance._mean_array[idx]
     if isinstance(instance.family, Gaussian):
         draws = rng.normal(mu, np.sqrt(instance.family.sigma2))
     else:
@@ -198,10 +236,10 @@ def sample_arms_sum(
     Same law as calling sample_arm_sum per arm; one batched draw keeps
     K-phase schedules like successive rejects cheap at large K.
     """
-    idx = np.array([_check_arm(instance, a) for a in arms])
+    idx = _check_arms(instance, _arm_array(arms))
     if n <= 0:
         return np.zeros(len(idx))
-    mu = np.asarray(instance.means)[idx]
+    mu = instance._mean_array[idx]
     if isinstance(instance.family, Gaussian):
         sums = n * mu
         if instance.family.sigma2 > 0.0:
@@ -216,13 +254,10 @@ def sample_group_sum(
     instance: BanditInstance, members, n: int, rng: np.random.Generator
 ) -> float:
     """Sum over n pulls of the group-average reward, via sufficient stats."""
-    members = sorted(set(int(a) for a in members))
-    if not members:
-        raise EmptyGroup("group pull needs at least one member")
-    idx = np.array([_check_arm(instance, a) for a in members])
+    idx = _member_indices(instance, members)
     if n <= 0:
         return 0.0
-    mu = np.asarray(instance.means)[idx]
+    mu = instance._mean_array[idx]
     g = len(idx)
     if isinstance(instance.family, Gaussian):
         group_mu = float(mu.mean())

@@ -5,10 +5,13 @@ with Wilson confidence intervals, budget sweeps, bound-vs-empirical tables,
 and the group-mean distribution study. Trials are independently seeded work
 items: the per-trial stream is fixed by (master_seed, stream_id), so results
 are bit-identical no matter how many workers run them (BAI_THREADS).
+Trials run on the calling thread unless more workers are asked for: they
+are GIL-bound Python, and a thread pool measured slower than one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -155,6 +158,7 @@ class CellResult:
 
 
 def resolve_threads(threads: int | None = None) -> int:
+    """Worker count asked for: the argument, else BAI_THREADS, else 1."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("BAI_THREADS")
@@ -163,7 +167,7 @@ def resolve_threads(threads: int | None = None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigParse(f"BAI_THREADS must be an integer, got {env!r}") from exc
-    return max(1, os.cpu_count() or 1)
+    return 1
 
 
 def _run_cell(
@@ -174,16 +178,19 @@ def _run_cell(
     master_seed: int,
     cell_index: int,
     re_options: ReOptions,
-    pool: ThreadPoolExecutor,
+    mapper,
 ) -> tuple[int | None, str | None]:
-    """Error count over `trials` runs, or a failure code for absent cells."""
+    """Error count over `trials` runs, or a failure code for absent cells.
+
+    `mapper` is the builtin map or a thread pool's map.
+    """
 
     def one(j: int) -> bool:
         rng = RngStream(master_seed, cell_index * trials + j).generator()
         return run_policy(algorithm, env, T, rng, re_options).correct
 
     try:
-        outcomes = list(pool.map(one, range(trials)))
+        outcomes = list(mapper(one, range(trials)))
     except BestArmError as exc:
         return None, exc.code
     return sum(1 for ok in outcomes if not ok), None
@@ -206,11 +213,18 @@ def run_cells(
     configurations (e.g. oracle vs plug-in priors) as distinct algorithm
     labels of the form "RE-oracle"; a label's base name before the dash picks
     the policy.
+
+    A thread pool runs the trials only when more than one worker is asked
+    for, and then with at most one worker per CPU and per trial.
     """
     opts_default = re_options or ReOptions()
     results: list[CellResult] = []
-    n_workers = resolve_threads(threads)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    n_workers = min(resolve_threads(threads), os.cpu_count() or 1, trials)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if n_workers > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=n_workers))
+            mapper = pool.map
         cell_index = 0
         for algorithm in algorithms:
             base = algorithm.split("-")[0]
@@ -218,7 +232,7 @@ def run_cells(
             for T in budgets:
                 start = time.perf_counter()
                 errors, failure = _run_cell(
-                    env, base, int(T), trials, master_seed, cell_index, opts, pool
+                    env, base, int(T), trials, master_seed, cell_index, opts, mapper
                 )
                 elapsed = time.perf_counter() - start
                 if failure is None:
@@ -258,8 +272,13 @@ def run_cells(
 def run_experiment(
     config: ExperimentConfig, threads: int | None = None
 ) -> list[CellResult]:
-    """Monte-Carlo error table for one generated instance."""
+    """Monte-Carlo error table for one generated instance.
+
+    A tied best arm raises DuplicateBestArm before any trial runs, rather
+    than leaving every cell absent.
+    """
     instance = generate_instance(config.instance)
+    instance.best_arm  # raises DuplicateBestArm on ties
     env = BanditEnv(instance)
     return run_cells(
         env,

@@ -10,6 +10,7 @@ arms so every group has exactly K_padded/2 members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DecodedDummyArm, IndexOutOfRange, InvalidK
 
@@ -23,9 +24,11 @@ class GroupCode:
     dummy_arms: frozenset[int]
 
 
+@lru_cache(maxsize=64)
 def construct_groups(K: int) -> GroupCode:
     """Build the log2(K_padded) groups over a possibly padded arm set.
 
+    Memoised per K: a GroupCode is immutable, so every caller can share one.
     Raises InvalidK for K < 2.
     """
     if K < 2:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import BoundedUnit, Bernoulli, Family, Gaussian, GapProfile
 from .errors import BudgetTooSmall, InvalidK, SeparabilityViolated
@@ -76,6 +75,10 @@ def hardness(profile: GapProfile, K: int | None = None) -> HardnessProfile:
 
 def q_function(x):
     """Standard Gaussian upper-tail probability Q(x), via erfc."""
+    # Imported here: scipy.special is most of the package's import time, and
+    # math.erfc is neither vectorised nor equal to it in the last place.
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out

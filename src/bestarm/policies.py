@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Protocol
 
 import numpy as np
-from scipy.special import expit
 
 from . import core
 from .core import BanditInstance, Gaussian, GapProfile
@@ -33,7 +33,14 @@ _EPS_GAP = 1e-6  # floor for plug-in gap estimates
 
 
 class Environment(Protocol):
-    """What a policy needs from the world it samples."""
+    """What a policy needs from the world it samples.
+
+    Arms are 1-based ints. The `members` of a group pull arrive as a sorted
+    read-only int64 array that is shared between trials. The `arms` of an
+    optional batched `pull_arms_sum(arms, n, rng)` are an ascending range,
+    list or int64 array. Read both with len(), iteration or indexing, and
+    never mutate them.
+    """
 
     @property
     def K(self) -> int: ...
@@ -84,8 +91,12 @@ class BanditEnv:
             return self.instance.family.sigma2
         return None
 
-    def true_gap_profile(self) -> GapProfile:
+    @cached_property
+    def _gap_profile(self) -> GapProfile:
         return core.gap_profile(self.instance)
+
+    def true_gap_profile(self) -> GapProfile:
+        return self._gap_profile
 
     def dummy_mean(self) -> float:
         return core.dummy_mean(self.instance)
@@ -105,7 +116,7 @@ def _pull_each(env: Environment, arms, n: int, rng: np.random.Generator) -> np.n
     batched = getattr(env, "pull_arms_sum", None)
     if batched is not None:
         return np.asarray(batched(arms, n, rng), dtype=float)
-    return np.array([env.pull_arm_sum(a, n, rng) for a in arms], dtype=float)
+    return np.array([env.pull_arm_sum(int(a), n, rng) for a in arms], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,14 @@ class GroupHypothesis:
     tau: float
 
 
+def _expit(x: float) -> float:
+    """Logistic sigmoid 1/(1+exp(-x)); bit for bit scipy.special.expit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) overflows only for x below about -709
+        return 0.0
+
+
 def compute_priors(
     mu_hat_G: float, E_muH: float, E_muL: float, len_L1: float, len_L0: float
 ) -> tuple[float, float]:
@@ -165,8 +184,8 @@ def compute_priors(
         raise DegenerateInterval(
             f"interval lengths must be positive, got {len_L1}, {len_L0}"
         )
-    sig_in = float(expit((mu_hat_G - E_muH) / len_L1))
-    sig_out = float(expit(-(mu_hat_G - E_muL) / len_L0))
+    sig_in = _expit((mu_hat_G - E_muH) / len_L1)
+    sig_out = _expit(-(mu_hat_G - E_muL) / len_L0)
     total = sig_in + sig_out
     if total == 0.0:  # both sigmoids underflowed; fall back to indifference
         return 0.5, 0.5
@@ -245,33 +264,40 @@ def _sr_logbar(K: int) -> float:
 
 
 def run_sr(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
-    """Successive rejects: K-1 phases, reject the worst cumulative mean."""
+    """Successive rejects: K-1 phases, reject the worst cumulative mean.
+
+    Means change only in phases that pull, so each such phase sorts the arms
+    once and the following rejections take them in that order. Never-pulled
+    arms rank worst; ties go to the lowest index (the sort is stable).
+    """
     K = env.K
     if T < K:
         raise BudgetTooSmall(f"SR needs T >= K, got T={T}, K={K}")
     logbar = _sr_logbar(K)
     sums = np.zeros(K)
     counts = np.zeros(K, dtype=int)
-    alive = list(range(1, K + 1))
+    alive = np.ones(K, dtype=bool)
     pulls_used = 0
     n_prev = 0
+    order = None  # alive arms' 0-based indices, worst first
     for k in range(1, K):
         n_k = math.ceil((T - K) / (logbar * (K + 1 - k)))
         inc = n_k - n_prev
         n_prev = n_k
         if inc > 0:
-            fresh = _pull_each(env, alive, inc, rng)
-            for arm, s in zip(alive, fresh):
-                sums[arm - 1] += s
-                counts[arm - 1] += inc
-            pulls_used += inc * len(alive)
-        # cumulative means; never-pulled arms rank worst, ties -> lowest index
-        means = np.full(K, -np.inf)
-        seen = counts > 0
-        means[seen] = sums[seen] / counts[seen]
-        worst = min(alive, key=lambda a: (means[a - 1], a))
-        alive.remove(worst)
-    rec = alive[0]
+            arms = np.flatnonzero(alive) + 1  # ascending, as the draws expect
+            sums[alive] += _pull_each(env, arms, inc, rng)
+            counts[alive] += inc
+            pulls_used += inc * len(arms)
+            order = None
+        if order is None:
+            means = np.full(K, -np.inf)
+            seen = counts > 0
+            means[seen] = sums[seen] / counts[seen]
+            means[~alive] = np.inf
+            order = iter(np.argsort(means, kind="stable"))
+        alive[next(order)] = False
+    rec = int(np.flatnonzero(alive)[0]) + 1
     return PolicyRun(
         algorithm="SR",
         budget_T=T,
@@ -322,6 +348,17 @@ def _padded_endpoints(
     mu_H_star = mu1 - (1.0 - 2.0 / K_padded) * dK
     mu_L_star = mu1 - d2
     return mu_H_star, mu_L_star
+
+
+@lru_cache(maxsize=64)
+def _real_members(K: int) -> tuple[np.ndarray, ...]:
+    """Each group's real (non-padding) members as a sorted read-only array."""
+    out = []
+    for members in construct_groups(K).groups:
+        arr = np.array(sorted(a for a in members if a <= K), dtype=np.int64)
+        arr.flags.writeable = False
+        out.append(arr)
+    return tuple(out)
 
 
 def run_re(
@@ -434,8 +471,7 @@ def run_re(
     # Phase 2: one scalar observation per group play.
     detections = []
     group_means = []
-    for k, members in enumerate(code.groups):
-        real = sorted(a for a in members if a <= K)
+    for k, (members, real) in enumerate(zip(code.groups, _real_members(K))):
         s = env.pull_group_sum(real, n_group, rng)
         mean_real = s / n_group
         n_dummy = len(members) - len(real)

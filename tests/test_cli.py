@@ -179,6 +179,29 @@ def test_simulate_rejects_unknown_config_key(capsys, tmp_path):
     assert json.loads(err)["code"] == "ConfigParse"
 
 
+def test_simulate_tied_best_arm_fails_before_any_row(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "instance": {
+            "generator": "explicit",
+            "means": [1.0, 1.0, 0.5, 0.5],
+            "family": {"gaussian": {"sigma2": 0.1}},
+        },
+        "budgets": [64, 128],
+        "algorithms": "UE,SR,SH,RE",
+        "trials": 5,
+    }))
+    out_path = tmp_path / "result.csv"
+    status, out, err = run_cli(
+        capsys, ["simulate", "--config", str(cfg), "--out", str(out_path)]
+    )
+    assert status == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == "DuplicateBestArm"
+    assert not out_path.exists()
+
+
 def test_simulate_unwritable_out(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(SIM_CONFIG))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from bestarm import (
+    BanditEnv,
     BanditInstance,
     Bernoulli,
     BoundedUnit,
     ConfigParse,
+    DuplicateBestArm,
     ExperimentConfig,
     Gaussian,
     InstanceSpec,
@@ -32,7 +34,8 @@ from bestarm import (
     theoretical_bound,
     wilson_interval,
 )
-from bestarm.experiments import result_rows
+from bestarm import experiments
+from bestarm.experiments import result_rows, run_cells
 
 
 # ------------------------------------------------------------ wilson interval
@@ -392,6 +395,81 @@ def test_resolve_threads(monkeypatch):
         resolve_threads()
     monkeypatch.delenv("BAI_THREADS")
     assert resolve_threads() >= 1
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every thread pool run_cells makes; no thread starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def _tiny_env():
+    return BanditEnv(BanditInstance(means=(1.0, 0.5, 0.5), family=Gaussian(0.1)))
+
+
+def test_run_cells_default_runs_inline(monkeypatch, pool_sizes):
+    monkeypatch.delenv("BAI_THREADS", raising=False)
+    cells = run_cells(_tiny_env(), ("UE", "SR"), (30,), 8, 0, "tiny")
+    assert pool_sizes == []
+    assert all(c.failure is None for c in cells)
+
+
+def test_run_cells_bounds_pool_by_cpus_and_trials(monkeypatch, pool_sizes):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("BAI_THREADS", "100000")
+    run_cells(_tiny_env(), ("UE",), (30,), 3, 0, "tiny")  # capped by trials
+    run_cells(_tiny_env(), ("UE",), (30,), 50, 0, "tiny")  # capped by CPUs
+    run_cells(_tiny_env(), ("UE",), (30,), 50, 0, "tiny", threads=2)
+    run_cells(_tiny_env(), ("UE",), (30,), 1, 0, "tiny")  # one trial: inline
+    assert pool_sizes == [3, 4, 2]
+
+
+def test_run_cells_real_pool_matches_inline(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("BAI_THREADS", raising=False)
+    env = BanditEnv(BanditInstance(means=(1.0, 0.8, 0.7, 0.6), family=Gaussian(0.5)))
+
+    def cells(threads):
+        return [(c.algorithm, c.T, c.errors) for c in
+                run_cells(env, ("UE", "SR", "SH", "RE"), (8, 24), 40, 5, "x",
+                          threads=threads)]
+
+    inline = cells(None)
+    assert cells(4) == inline
+    assert sum(errors for _, _, errors in inline) > 0
+
+
+def test_run_experiment_tied_best_arm_runs_no_trial(monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_policy", no_trial)
+    cfg = ExperimentConfig(
+        instance=InstanceSpec(
+            K=4, generator="explicit", family=Gaussian(0.1),
+            means=(1.0, 1.0, 0.5, 0.5),
+        ),
+        budgets=(64,),
+        trials=5,
+    )
+    with pytest.raises(DuplicateBestArm):
+        run_experiment(cfg)
 
 
 # ------------------------------------------------------- group mean histogram
