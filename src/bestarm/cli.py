@@ -20,7 +20,7 @@ from .casestudies import (
     run_radar_experiment,
 )
 from .core import gap_profile, instance_from_json
-from .errors import BestArmError, ConfigParse, IoFailure
+from .errors import BestArmError, ConfigParse, DuplicateBestArm, IoFailure
 from .experiments import (
     RESULT_COLUMNS,
     experiment_config_from_json,
@@ -99,6 +99,20 @@ def _cmd_simulate(args):
     return list(RESULT_COLUMNS), result_rows(results)
 
 
+def _require_best_arm(results) -> None:
+    """Refuse a sweep whose cells had no unique best arm to identify.
+
+    Such cells carry no error rate, so writing them would report a run that
+    answered nothing as a success.
+    """
+    for cell in results:
+        if cell.failure == DuplicateBestArm.__name__:
+            raise DuplicateBestArm(
+                f"{cell.instance_id}: more than one arm attains the largest mean, "
+                f"so cell {cell.algorithm} T={cell.T} has no error rate"
+            )
+
+
 def _cmd_case_jammer(args):
     grid = (
         parse_grid(args.noise_grid) if args.noise_grid else DEFAULT_JAMMER_NOISE_GRID
@@ -110,6 +124,7 @@ def _cmd_case_jammer(args):
         trials=args.trials,
         master_seed=args.seed,
     )
+    _require_best_arm(results)
     return list(RESULT_COLUMNS), result_rows(results)
 
 
@@ -130,6 +145,7 @@ def _cmd_case_radar(args):
         csv_path=args.iq,
         master_seed=args.seed,
     )
+    _require_best_arm(results)
     return list(RESULT_COLUMNS), result_rows(results)
 
 

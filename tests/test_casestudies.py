@@ -214,6 +214,80 @@ def test_radar_inactive_channels_share_one_law():
     assert stats.ks_2samp(fast, slow).pvalue > 0.01
 
 
+def single_play_sums(env, arm, n, reps, r):
+    """reps independent sums of n single-play energies of one channel,
+    drawn by the per-play law of pull_arm_sum(arm, 1)."""
+    sc = env.scenario
+    N, nv = sc.N, sc.noise_var
+    if arm == sc.active_channel:
+        counts = signal_sample_counts(sc, reps * n, r)
+        chi = r.noncentral_chisquare(2 * N, 2.0 * counts / nv)
+    else:
+        chi = r.chisquare(2 * N, size=reps * n)
+    return (nv / 2.0) * chi.reshape(reps, n).sum(axis=1)
+
+
+@pytest.fixture(scope="module")
+def pulse_count_moments():
+    counts = signal_sample_counts(RadarScenario(), 200_000, rng(99))
+    return counts.mean(), counts.var()
+
+
+def assert_same_law(got, want, mean, var):
+    """KS against a reference sample, plus the exact mean and variance.
+
+    The 12 KS tests that use this share a false-alarm rate of about 1%.
+    """
+    assert stats.ks_2samp(got, want).pvalue > 1e-3
+    assert abs(got.mean() - mean) <= 4 * math.sqrt(var / len(got))
+    assert got.var() == pytest.approx(var, rel=0.1)
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+@pytest.mark.parametrize("arm", [3, 6])
+def test_radar_pull_of_n_plays_sums_single_plays(n, arm, pulse_count_moments):
+    sc = RadarScenario(active_channel=3, noise_var=1.0)
+    env = RadarEnv(sc)
+    N, nv = sc.N, sc.noise_var
+    reps = 3000
+    r = rng([1, n, arm])
+    got = np.array([env.pull_arm_sum(arm, n, r) for _ in range(reps)])
+    want = single_play_sums(env, arm, n, reps, rng([2, n, arm]))
+    m_s, v_s = pulse_count_moments if arm == 3 else (0.0, 0.0)
+    mean = n * (N * nv + m_s)
+    var = n * (N * nv**2 + 2 * nv * m_s + v_s)
+    assert_same_law(got, want, mean, var)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [{5}, {4, 5, 6}, set(range(1, 9)), {9}, {1, 2, 3}, {1, 2, 3, 4, 6, 7, 8, 9}],
+)
+def test_radar_group_pull_matches_member_sums(members, pulse_count_moments):
+    sc = RadarScenario(K=12, active_channel=5, noise_var=1.0)
+    env = RadarEnv(sc)
+    N, nv = sc.N, sc.noise_var
+    n, reps, g = 3, 3000, len(members)
+    r = rng([3, *sorted(members)])
+    got = np.array([env.pull_group_sum(members, n, r) for _ in range(reps)])
+    r_ref = rng([4, *sorted(members)])
+    want = sum(single_play_sums(env, a, n, reps, r_ref) for a in sorted(members)) / g
+    m_s, v_s = pulse_count_moments if 5 in members else (0.0, 0.0)
+    mean = n * (g * N * nv + m_s) / g
+    var = n * (g * N * nv**2 + 2 * nv * m_s + v_s) / g**2
+    assert_same_law(got, want, mean, var)
+
+
+def test_radar_group_pull_validates_members():
+    env = RadarEnv(RadarScenario(noise_var=1.0))
+    for members in ({0, 1}, {8, 9}, np.array([2, 3, 12]), [-1]):
+        with pytest.raises(IndexOutOfRange):
+            env.pull_group_sum(members, 2, rng())
+    with pytest.raises(EmptySubset):
+        env.pull_group_sum(set(), 2, rng())
+    assert env.pull_group_sum(set(), 0, rng()) == 0.0
+
+
 def test_radar_env_analytic_means():
     sc = RadarScenario(noise_var=3.0)
     env = RadarEnv(sc)

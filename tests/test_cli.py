@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bestarm import (
@@ -243,6 +244,72 @@ def test_case_radar_cli(capsys, tmp_path):
     assert len(rows) == 1 + 4  # SH, SR, RE-plugin, RE-oracle at one budget
     assert {r[1] for r in rows[1:]} == {"SH", "SR", "RE-plugin", "RE-oracle"}
     assert all(r[0] == "radar-K8" for r in rows[1:])
+
+
+def assert_one_error(status, out, err, code, out_path):
+    assert status == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == code
+    assert not out_path.exists()
+
+
+def test_case_radar_weak_capture_fails(capsys, tmp_path):
+    # unit-variance noise has window energy 2N, below the idle channels'
+    # N * 21, so the idle channels tie for the best arm
+    capture = tmp_path / "weak.csv"
+    r = np.random.default_rng(3)
+    capture.write_text(
+        "n,i,q\n" + "".join(f"{k},{r.normal()},{r.normal()}\n" for k in range(200))
+    )
+    out_path = tmp_path / "radar.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["case-radar", "--iq", str(capture), "--active-channel", "2",
+         "--plays", "300", "--trials", "5", "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "DuplicateBestArm", out_path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_case_radar_non_finite_noise_var_fails(capsys, tmp_path, value):
+    out_path = tmp_path / "radar.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["case-radar", "--noise-var", value, "--plays", "300", "--trials", "3",
+         "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "SupportViolation", out_path)
+
+
+def test_case_jammer_nan_noise_fails(capsys, tmp_path):
+    out_path = tmp_path / "jammer.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["case-jammer", "--K", "8", "--noise-grid", "nan", "--T", "32",
+         "--trials", "5", "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "SupportViolation", out_path)
+
+
+def test_case_radar_csv_determinism(tmp_path, cli_env):
+    """case-radar writes the same bytes on a second run and whatever
+    BAI_THREADS asks for."""
+    argv = [sys.executable, "-m", "bestarm.cli", "case-radar", "--plays",
+            "300,600", "--trials", "12", "--seed", "4"]
+    base = {k: v for k, v in cli_env.items() if k != "BAI_THREADS"}
+    outputs = []
+    for k, threads in enumerate((None, None, "1", "3")):
+        out = tmp_path / f"run{k}.csv"
+        env = base if threads is None else {**base, "BAI_THREADS": threads}
+        proc = subprocess.run(
+            argv + ["--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) == 1 + 2 * 4
+    assert all(o == outputs[0] for o in outputs[1:])
 
 
 def test_group_mean_dist_cli(capsys):

@@ -1,8 +1,10 @@
 """Vectorised paths against the per-arm loops they replaced.
 
-The loops below are the earlier successive-rejects phase loop and the
-per-member group sampler, kept as oracles: the vectorised code must make the
-same draws in the same order and reach the same result, bit for bit.
+The loops below are the earlier successive-rejects phase loop, the
+per-member group sampler, the per-slot radar pulse counter and the per-play
+radar pull, kept as oracles: the vectorised code must make the same draws in
+the same order and reach the same result, bit for bit, with the generator
+left in the same state.
 """
 
 import dataclasses
@@ -20,12 +22,20 @@ from bestarm import (
     EmptyGroup,
     Gaussian,
     IndexOutOfRange,
+    RadarEnv,
+    RadarScenario,
     construct_groups,
     run_policy,
     run_sr,
     sample_arms_sum,
     sample_group,
     sample_group_sum,
+)
+from bestarm.casestudies import (
+    _COUNT_BLOCK,
+    _EDGE_EPS,
+    _slots_that_can_start,
+    signal_sample_counts,
 )
 from bestarm.policies import _expit, _pull_each, _real_members, _sr_logbar
 
@@ -250,3 +260,146 @@ def test_custom_environment_reads_members_as_a_sequence(K):
     for members in custom.seen:  # shared between trials, so not writable
         with pytest.raises(ValueError):
             members[0] = 1
+
+
+# ---------------------------------------------------------------------- radar
+
+
+def loop_signal_sample_counts(scenario, n, rng):
+    """On-pulse sample counts, one pass over all n plays per pulse slot."""
+    lo_p, hi_p = scenario.n_pulses_range
+    pulses = rng.integers(lo_p, hi_p + 1, size=n)
+    width = rng.uniform(*scenario.width_range, size=n)
+    pri = rng.uniform(*scenario.pri_range, size=n)
+    delay = rng.uniform(*scenario.delay_range, size=n)
+    N, fs = scenario.N, scenario.fs
+    counts = np.zeros(n, dtype=np.int64)
+    for p in range(int(hi_p)):
+        start = delay + p * pri
+        lo = np.ceil(start * fs - _EDGE_EPS).astype(np.int64)
+        hi = np.ceil((start + width) * fs - _EDGE_EPS).astype(np.int64)
+        np.clip(lo, 0, N, out=lo)
+        np.clip(hi, 0, N, out=hi)
+        counts += np.where(pulses > p, np.maximum(hi - lo, 0), 0)
+    return counts
+
+
+def per_play_pull_arm_sum(env, arm, n, rng):
+    """A synthetic pull of n plays as n single-play energies, summed."""
+    sc = env.scenario
+    N, nv = sc.N, sc.noise_var
+    if arm == sc.active_channel:
+        counts = loop_signal_sample_counts(sc, n, rng)
+        if nv == 0.0:
+            return float(counts.sum())
+        chi = rng.noncentral_chisquare(2 * N, 2.0 * counts / nv, size=n)
+    else:
+        if nv == 0.0:
+            return 0.0
+        chi = rng.chisquare(2 * N, size=n)
+    return float((nv / 2.0) * chi.sum())
+
+
+def assert_counts_match(sc, n, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = signal_sample_counts(sc, n, fast)
+    want = loop_signal_sample_counts(sc, n, slow)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    np.testing.assert_array_equal(got, want)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def random_scenario(r):
+    """Ranges that put later pulse slots inside or past the window; pri
+    minima at or below zero leave no slot provably outside it."""
+    width_lo = float(r.uniform(0.2e-6, 20e-6))
+    pri_lo = float(r.uniform(-5e-6, 25e-6))
+    delay_lo = float(r.uniform(-10e-6, 15e-6))
+    lo_p = int(r.integers(0, 4))
+    return RadarScenario(
+        fs=float(r.choice([1e6, 2.5e6, 3.2e6, 4e6])),
+        dwell_T=float(r.uniform(5e-6, 120e-6)),
+        n_pulses_range=(lo_p, lo_p + int(r.integers(0, 9))),
+        width_range=(width_lo, width_lo + float(r.uniform(0.0, 10e-6))),
+        pri_range=(pri_lo, pri_lo + float(r.uniform(0.0, 10e-6))),
+        delay_range=(delay_lo, delay_lo + float(r.uniform(0.0, 20e-6))),
+    )
+
+
+def test_counts_match_loop_on_random_scenarios():
+    r = np.random.default_rng(2718)
+    live = []
+    for k in range(300):
+        sc = random_scenario(r)
+        live.append(_slots_that_can_start(sc) < sc.n_pulses_range[1])
+        for n in (0, 1, 5, 300):
+            assert_counts_match(sc, n, [k, n])
+    # both kinds of scenario occur: some slots skipped, and none
+    assert any(live) and not all(live)
+
+
+@pytest.mark.parametrize(
+    "n", [_COUNT_BLOCK - 1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 2 * _COUNT_BLOCK + 3]
+)
+def test_counts_match_loop_across_block_boundaries(n):
+    assert_counts_match(RadarScenario(), n, 7)
+    assert_counts_match(random_scenario(np.random.default_rng(n)), n, 8)
+
+
+def test_default_scenario_counts_two_of_six_slots():
+    sc = RadarScenario()
+    assert _slots_that_can_start(sc) == 2
+    assert_counts_match(sc, 20_000, 9)
+
+
+@pytest.mark.parametrize(
+    "pri_range, slots",
+    [
+        ((2e-6, 3e-6), 6),  # every slot can start inside the window
+        ((0.0, 3e-6), 6),  # pri may be zero: nothing provable
+        ((-2e-6, 3e-6), 6),
+        ((40e-6, 50e-6), 1),  # only the first slot fits
+    ],
+)
+def test_slot_bound_against_loop(pri_range, slots):
+    sc = RadarScenario(pri_range=pri_range)
+    assert _slots_that_can_start(sc) == slots
+    for n in (1, 999):
+        assert_counts_match(sc, n, 10)
+
+
+def test_pulse_edges_on_sample_instants():
+    # fs = 1 MHz puts every range endpoint on a sample instant; slot 2's
+    # earliest start, 0 + 2 * 15 us, is exactly the window's end (N = 30)
+    sc = RadarScenario(
+        fs=1e6,
+        dwell_T=30e-6,
+        n_pulses_range=(3, 3),
+        width_range=(4e-6, 4e-6),
+        pri_range=(15e-6, 15e-6),
+        delay_range=(0.0, 0.0),
+    )
+    assert _slots_that_can_start(sc) == 2
+    assert_counts_match(sc, 50, 11)
+    assert list(signal_sample_counts(sc, 3, np.random.default_rng(0))) == [8] * 3
+    edges = RadarScenario(
+        fs=1e6,
+        dwell_T=30e-6,
+        width_range=(4e-6, 4e-6),
+        pri_range=(15e-6, 20e-6),
+        delay_range=(0.0, 3e-6),
+    )
+    assert _slots_that_can_start(edges) == 2
+    assert_counts_match(edges, 5000, 12)
+
+
+@pytest.mark.parametrize("noise_var", [21.0, 0.0])
+def test_single_play_pulls_match_per_play_draws(noise_var):
+    sc = RadarScenario(active_channel=3, noise_var=noise_var)
+    env = RadarEnv(sc)
+    for arm in (3, 5):
+        fast, slow = np.random.default_rng(arm), np.random.default_rng(arm)
+        got = [env.pull_arm_sum(arm, 1, fast) for _ in range(3000)]
+        want = [per_play_pull_arm_sum(env, arm, 1, slow) for _ in range(3000)]
+        assert got == want
+        assert fast.bit_generator.state == slow.bit_generator.state
