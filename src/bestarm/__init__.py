@@ -5,26 +5,18 @@ halving) next to a combinatorial strategy that pulls binary arm groups and
 decodes the best arm from likelihood-ratio detections, plus hardness and
 error-bound calculators, a seeded Monte-Carlo harness, and two case studies
 (jammer waveform selection, radar channel detection).
+
+The names below are what the command line and the README use; everything
+else lives in the submodules.
 """
 
 from .core import (
     BanditInstance,
     Bernoulli,
     BoundedUnit,
-    Family,
-    GapProfile,
     Gaussian,
-    RngStream,
-    dummy_mean,
-    family_from_json,
     gap_profile,
     instance_from_json,
-    instance_to_json,
-    sample_arm,
-    sample_arm_sum,
-    sample_arms_sum,
-    sample_group,
-    sample_group_sum,
 )
 from .errors import (
     BestArmError,
@@ -42,72 +34,41 @@ from .errors import (
     SeparabilityViolated,
     SupportViolation,
 )
-from .grouping import GroupCode, construct_groups, decode_best_arm, detection_pattern
-from .hardness import (
-    HardnessProfile,
-    bound_exploration_failure,
-    bound_re,
-    bound_sh,
-    bound_sr,
-    bound_ue,
-    hardness,
-    log_bound_re,
-    log_bound_sh,
-    log_bound_sr,
-    log_bound_ue,
-    q_function,
-    q_lower,
-    q_upper,
-)
-from .policies import (
-    BanditEnv,
-    Environment,
-    GroupHypothesis,
-    PolicyRun,
-    ReOptions,
-    composite_lrt_decision,
-    compute_priors,
-    lrt_threshold_gaussian,
-    run_policy,
-    run_re,
-    run_sh,
-    run_sr,
-    run_ue,
-)
+from .grouping import construct_groups
+from .hardness import bound_re, hardness
+from .policies import BanditEnv, ReOptions, run_policy
 from .experiments import (
     RESULT_COLUMNS,
-    CellResult,
     ExperimentConfig,
-    GroupMeanDistribution,
     InstanceSpec,
-    bound_vs_empirical,
     experiment_config_from_json,
-    generate_instance,
     group_mean_distribution,
     group_mean_distribution_rows,
     parse_grid,
-    resolve_threads,
-    results_to_csv,
+    result_rows,
     run_experiment,
     theoretical_bound,
-    wilson_interval,
 )
 from .casestudies import (
-    JammerEnv,
-    JammerScenario,
-    PulseParams,
-    RadarEnv,
     RadarScenario,
-    draw_pulse_params,
-    jammer_reward,
-    load_iq_csv,
-    mean_signal_energy,
-    radar_energy,
-    radar_synthesize,
     run_jammer_experiment,
     run_radar_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BanditInstance", "Bernoulli", "BoundedUnit", "Gaussian", "gap_profile",
+    "instance_from_json",
+    "BestArmError", "BudgetTooSmall", "ConfigParse", "CsvFormatError",
+    "DecodedDummyArm", "DegenerateInterval", "DuplicateBestArm", "EmptyGroup",
+    "EmptySubset", "IndexOutOfRange", "InvalidK", "IoFailure",
+    "SeparabilityViolated", "SupportViolation",
+    "construct_groups", "bound_re", "hardness",
+    "BanditEnv", "ReOptions", "run_policy",
+    "RESULT_COLUMNS", "ExperimentConfig", "InstanceSpec",
+    "experiment_config_from_json", "group_mean_distribution",
+    "group_mean_distribution_rows", "parse_grid", "result_rows", "run_experiment",
+    "theoretical_bound",
+    "RadarScenario", "run_jammer_experiment", "run_radar_experiment",
+]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BanditInstance, Gaussian, GapProfile, dummy_mean, gap_profile
+from .core import BanditInstance, Gaussian
 from .errors import (
     CsvFormatError,
     EmptySubset,
@@ -29,7 +29,7 @@ from .errors import (
     SupportViolation,
 )
 from .experiments import run_cells
-from .policies import ReOptions
+from .policies import BanditEnv, ReOptions
 
 DEFAULT_JAMMER_NOISE_GRID = tuple(np.geomspace(0.002, 0.02, 6))
 # Calibrated so that at 6000 plays sequential halving sits inside the
@@ -55,7 +55,6 @@ class JammerScenario:
     K: int
     j_star: int
     noise_var: float
-    subset_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -66,30 +65,14 @@ class JammerScenario:
             raise SupportViolation(
                 f"noise_var must be finite and >= 0, got {self.noise_var}"
             )
-        if self.subset_size is None:
-            object.__setattr__(self, "subset_size", self.K // 2)
 
 
-def jammer_reward(scenario: JammerScenario, subset: set, rng) -> float:
-    """One probe of a waveform subset: (1/m) 1{j* in subset} + noise."""
-    m = len(subset)
-    if m == 0:
-        raise EmptySubset("cannot probe an empty waveform subset")
-    for j in subset:
-        if not 1 <= j <= scenario.K:
-            raise IndexOutOfRange(f"waveform {j} not in 1..{scenario.K}")
-    base = (1.0 / m) if scenario.j_star in subset else 0.0
-    if scenario.noise_var == 0.0:
-        return base
-    return base + rng.normal(0.0, math.sqrt(scenario.noise_var))
+class JammerEnv(BanditEnv):
+    """Arms are waveforms with mean 1 for the target and 0 elsewhere.
 
-
-class JammerEnv:
-    """Environment adapter: arms are waveforms, noise is receiver-side.
-
-    The additive noise has the same variance for single pulls and subset
-    probes (it models the receiver, not the arms), so a subset probe keeps
-    the full noise floor while its mean shrinks to 1/|S|.
+    Single pulls are the base class's Gaussian draws with variance
+    noise_var. The noise is the receiver's, not the arms', so a subset
+    probe keeps the full noise floor while its mean shrinks to 1/|S|.
     """
 
     def __init__(self, scenario: JammerScenario):
@@ -97,42 +80,8 @@ class JammerEnv:
         means = tuple(
             1.0 if k == scenario.j_star else 0.0 for k in range(1, scenario.K + 1)
         )
-        self._instance = BanditInstance(means=means, family=Gaussian(scenario.noise_var))
-
-    @property
-    def K(self) -> int:
-        return self._instance.K
-
-    @property
-    def best_arm(self) -> int:
-        return self.scenario.j_star
-
-    @property
-    def family_kind(self) -> str:
-        return "gaussian"
-
-    @property
-    def sigma2(self) -> float:
-        return self.scenario.noise_var
-
-    def true_gap_profile(self) -> GapProfile:
-        return gap_profile(self._instance)
-
-    def dummy_mean(self) -> float:
-        return dummy_mean(self._instance)
-
-    def _noisy_sum(self, mean: float, n: int, rng) -> float:
-        nv = self.scenario.noise_var
-        if nv == 0.0:
-            return n * mean
-        return n * mean + rng.normal(0.0, math.sqrt(n * nv))
-
-    def pull_arm_sum(self, arm: int, n: int, rng) -> float:
-        if n <= 0:
-            return 0.0
-        if not 1 <= arm <= self.K:
-            raise IndexOutOfRange(f"arm {arm} not in 1..{self.K}")
-        return self._noisy_sum(1.0 if arm == self.scenario.j_star else 0.0, n, rng)
+        family = Gaussian(scenario.noise_var)
+        super().__init__(BanditInstance(means=means, family=family))
 
     def pull_group_sum(self, members, n: int, rng) -> float:
         if n <= 0:
@@ -141,7 +90,10 @@ class JammerEnv:
         if not group:
             raise EmptySubset("cannot probe an empty waveform subset")
         mean = (1.0 / len(group)) if self.scenario.j_star in group else 0.0
-        return self._noisy_sum(mean, n, rng)
+        nv = self.scenario.noise_var
+        if nv == 0.0:
+            return n * mean
+        return n * mean + rng.normal(0.0, math.sqrt(n * nv))
 
 
 def run_jammer_experiment(
@@ -152,7 +104,6 @@ def run_jammer_experiment(
     trials: int = 500,
     master_seed: int = 0,
     j_star: int | None = None,
-    threads: int | None = None,
 ):
     """Error rates per (noise level, algorithm) at a fixed budget.
 
@@ -167,9 +118,7 @@ def run_jammer_experiment(
         scenario = JammerScenario(K=K, j_star=j_star, noise_var=float(nv))
         env = JammerEnv(scenario)
         label = f"jammer-K{K}-nv{float(nv):.6g}"
-        results += run_cells(
-            env, algorithms, (T,), trials, master_seed, label, threads=threads
-        )
+        results += run_cells(env, algorithms, (T,), trials, master_seed, label)
     return results
 
 
@@ -214,36 +163,6 @@ class RadarScenario:
     @property
     def N(self) -> int:
         return int(round(self.dwell_T * self.fs))
-
-
-@dataclass(frozen=True)
-class PulseParams:
-    n_pulses: int
-    width: float
-    pri: float
-    delay: float
-
-
-def draw_pulse_params(scenario: RadarScenario, rng) -> PulseParams:
-    lo, hi = scenario.n_pulses_range
-    return PulseParams(
-        n_pulses=int(rng.integers(lo, hi + 1)),
-        width=float(rng.uniform(*scenario.width_range)),
-        pri=float(rng.uniform(*scenario.pri_range)),
-        delay=float(rng.uniform(*scenario.delay_range)),
-    )
-
-
-def pulse_sample_spans(params: PulseParams, N: int, fs: float):
-    """Half-open sample-index spans covered by each pulse, clipped to [0, N)."""
-    spans = []
-    for p in range(params.n_pulses):
-        start = params.delay + p * params.pri
-        lo = max(0, math.ceil(start * fs - _EDGE_EPS))
-        hi = min(N, math.ceil((start + params.width) * fs - _EDGE_EPS))
-        if hi > lo:
-            spans.append((lo, hi))
-    return spans
 
 
 def _slots_that_can_start(scenario: RadarScenario) -> int:
@@ -323,35 +242,6 @@ def mean_signal_energy(scenario: RadarScenario, draws: int = 200_000) -> float:
     return _SIGNAL_MEAN_CACHE[key]
 
 
-def radar_synthesize(
-    scenario: RadarScenario, channel: int, rng, params: PulseParams | None = None
-) -> np.ndarray:
-    """One play's complex baseband block for the given channel."""
-    if not 1 <= channel <= scenario.K:
-        raise IndexOutOfRange(f"channel {channel} not in 1..{scenario.K}")
-    N = scenario.N
-    nv = scenario.noise_var
-    if nv > 0.0:
-        comp_sd = math.sqrt(nv / 2.0)
-        block = rng.normal(0.0, comp_sd, N) + 1j * rng.normal(0.0, comp_sd, N)
-    else:
-        block = np.zeros(N, dtype=complex)
-    if channel == scenario.active_channel:
-        if params is None:
-            params = draw_pulse_params(scenario, rng)
-        for lo, hi in pulse_sample_spans(params, N, scenario.fs):
-            block[lo:hi] += 1.0
-    return block
-
-
-def radar_energy(block) -> float:
-    """Sum of squared I/Q magnitudes."""
-    arr = np.asarray(block)
-    if arr.size == 0:
-        raise EmptySubset("energy of an empty block is undefined")
-    return float(np.sum(arr.real**2 + arr.imag**2))
-
-
 def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read I/Q samples from a CSV with header n,i,q (one sample per row)."""
     i_vals: list[float] = []
@@ -378,8 +268,8 @@ def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(i_vals), np.asarray(q_vals)
 
 
-class RadarEnv:
-    """Environment adapter: arms are channels, rewards are play energies.
+class RadarEnv(BanditEnv):
+    """Arms are channels, rewards are play energies.
 
     Synthetic energies are drawn through their exact law instead of per
     sample: conditioned on the play's on-pulse count E_s, the energy equals
@@ -393,7 +283,9 @@ class RadarEnv:
     (noise_var/2) chi'2(2Nn, 2S/noise_var), where S sums the n plays'
     on-pulse counts. The idle members of a group add up to one
     chi2(2Nn * idle members) draw. One play makes the same calls as a
-    per-play draw would.
+    per-play draw would. The instance's Gaussian family carries the energy
+    variance N * noise_var**2 of an idle play for the RE threshold; no pull
+    draws from it.
     """
 
     def __init__(self, scenario: RadarScenario, iq: tuple | None = None):
@@ -416,31 +308,9 @@ class RadarEnv:
             active_mean = N * nv + mean_signal_energy(scenario)
         means = [N * nv] * scenario.K
         means[scenario.active_channel - 1] = active_mean
-        self._instance = BanditInstance(
-            means=tuple(means), family=Gaussian(N * nv * nv)
+        super().__init__(
+            BanditInstance(means=tuple(means), family=Gaussian(N * nv**2))
         )
-
-    @property
-    def K(self) -> int:
-        return self.scenario.K
-
-    @property
-    def best_arm(self) -> int:
-        return self._instance.best_arm
-
-    @property
-    def family_kind(self) -> str:
-        return "gaussian"
-
-    @property
-    def sigma2(self) -> float:
-        return self.scenario.N * self.scenario.noise_var**2
-
-    def true_gap_profile(self) -> GapProfile:
-        return gap_profile(self._instance)
-
-    def dummy_mean(self) -> float:
-        return dummy_mean(self._instance)
 
     def pull_arm_sum(self, arm: int, n: int, rng) -> float:
         if n <= 0:
@@ -464,6 +334,11 @@ class RadarEnv:
                 return 0.0
             chi = rng.chisquare(2 * N * n)
         return float((nv / 2.0) * chi)
+
+    def pull_arms_sum(self, arms, n: int, rng) -> np.ndarray:
+        """pull_arm_sum for each arm in order; the inherited Gaussian batch
+        would draw from the wrong law."""
+        return np.array([self.pull_arm_sum(int(a), n, rng) for a in arms], dtype=float)
 
     def pull_group_sum(self, members, n: int, rng) -> float:
         if n <= 0:
@@ -491,7 +366,6 @@ def run_radar_experiment(
     trials: int = 500,
     csv_path=None,
     master_seed: int = 0,
-    threads: int | None = None,
 ):
     """Error rates per (algorithm, play budget) for the radar scenario.
 
@@ -510,12 +384,5 @@ def run_radar_experiment(
         "RE-plugin": ReOptions(alpha=0.1, prior_mode="plugin"),
     }
     return run_cells(
-        env,
-        algorithms,
-        plays,
-        trials,
-        master_seed,
-        label,
-        re_options_by_name=opts,
-        threads=threads,
+        env, algorithms, plays, trials, master_seed, label, re_options_by_name=opts
     )

@@ -12,6 +12,7 @@ Arms are 1-indexed throughout the public API. Reward families:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,7 @@ from .errors import (
     DuplicateBestArm,
     EmptyGroup,
     IndexOutOfRange,
+    InvalidK,
     SupportViolation,
 )
 
@@ -31,8 +33,10 @@ class Gaussian:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise SupportViolation(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise SupportViolation(
+                f"sigma2 must be finite and >= 0, got {self.sigma2}"
+            )
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ class BanditInstance:
         object.__setattr__(self, "means", means)
         if len(means) < 1:
             raise SupportViolation("instance needs at least one arm")
+        if not all(map(math.isfinite, means)):
+            raise SupportViolation("means must be finite")
         if _is_unit_family(self.family):
             if min(means) < 0.0 or max(means) > 1.0:
                 raise SupportViolation(
@@ -116,8 +122,11 @@ class GapProfile:
 def gap_profile(instance: BanditInstance) -> GapProfile:
     """Sub-optimality gaps of an instance with a unique best arm.
 
-    Raises DuplicateBestArm when the maximal mean is attained twice.
+    Raises InvalidK for fewer than two arms, which have no gap, and
+    DuplicateBestArm when the maximal mean is attained twice.
     """
+    if instance.K < 2:
+        raise InvalidK(f"gaps need K >= 2 arms, got {instance.K}")
     instance.best_arm  # raises DuplicateBestArm on ties
     mu = np.sort(instance._mean_array)[::-1]
     sub_gaps = mu[0] - mu[1:]  # Delta_a for a != a*, ascending after sort
@@ -185,38 +194,12 @@ def _member_indices(instance: BanditInstance, members) -> np.ndarray:
     return _check_arms(instance, arms)
 
 
-def sample_arm(instance: BanditInstance, arm: int, rng: np.random.Generator) -> float:
-    """One reward draw from a single arm."""
-    idx = _check_arm(instance, arm)
-    mu = instance.means[idx]
-    if isinstance(instance.family, Gaussian):
-        return float(rng.normal(mu, np.sqrt(instance.family.sigma2)))
-    return float(rng.random() < mu)
-
-
-def sample_group(
-    instance: BanditInstance, members, rng: np.random.Generator
-) -> float:
-    """Average of one fresh draw from each member arm.
-
-    For the Gaussian family the result is N(mean of member means,
-    sigma2/|members|).
-    """
-    idx = _member_indices(instance, members)
-    mu = instance._mean_array[idx]
-    if isinstance(instance.family, Gaussian):
-        draws = rng.normal(mu, np.sqrt(instance.family.sigma2))
-    else:
-        draws = (rng.random(len(idx)) < mu).astype(float)
-    return float(draws.mean())
-
-
 def sample_arm_sum(
     instance: BanditInstance, arm: int, n: int, rng: np.random.Generator
 ) -> float:
     """Sum of n i.i.d. draws from one arm, sampled via sufficient statistics.
 
-    Distributionally identical to summing n sample_arm calls: the Gaussian
+    Distributionally identical to summing n single draws: the Gaussian
     sum is N(n*mu, n*sigma2) and the Bernoulli sum is Binomial(n, mu).
     """
     idx = _check_arm(instance, arm)

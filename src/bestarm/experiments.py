@@ -1,24 +1,18 @@
 """Monte-Carlo experiment harness.
 
 Instance generators for the four gap families, error-probability estimation
-with Wilson confidence intervals, budget sweeps, bound-vs-empirical tables,
-and the group-mean distribution study. Trials are independently seeded work
-items: the per-trial stream is fixed by (master_seed, stream_id), so results
-are bit-identical no matter how many workers run them (BAI_THREADS).
-Trials run on the calling thread unless more workers are asked for: they
-are GIL-bound Python, and a thread pool measured slower than one thread.
+with Wilson confidence intervals, budget sweeps, theoretical bounds per
+cell, and the group-mean distribution study. Each trial draws from its own
+stream, fixed by (master_seed, stream_id), and trials run one after another
+on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import json
 import math
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +39,9 @@ from .hardness import (
 from .policies import BanditEnv, Environment, ReOptions, run_policy
 
 _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
+# Most points parse_grid returns: far more budgets or noise levels than a
+# sweep can run, and few enough to hold in memory.
+MAX_GRID_POINTS = 100_000
 
 GENERATORS = (
     "arithmetic",
@@ -157,19 +154,6 @@ class CellResult:
     failure: str | None = None  # error code when the cell is absent
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count asked for: the argument, else BAI_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("BAI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigParse(f"BAI_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _run_cell(
     env: Environment,
     algorithm: str,
@@ -178,22 +162,16 @@ def _run_cell(
     master_seed: int,
     cell_index: int,
     re_options: ReOptions,
-    mapper,
 ) -> tuple[int | None, str | None]:
-    """Error count over `trials` runs, or a failure code for absent cells.
-
-    `mapper` is the builtin map or a thread pool's map.
-    """
-
-    def one(j: int) -> bool:
-        rng = RngStream(master_seed, cell_index * trials + j).generator()
-        return run_policy(algorithm, env, T, rng, re_options).correct
-
+    """Error count over `trials` runs, or a failure code for absent cells."""
+    errors = 0
     try:
-        outcomes = list(mapper(one, range(trials)))
+        for j in range(trials):
+            rng = RngStream(master_seed, cell_index * trials + j).generator()
+            errors += not run_policy(algorithm, env, T, rng, re_options).correct
     except BestArmError as exc:
         return None, exc.code
-    return sum(1 for ok in outcomes if not ok), None
+    return errors, None
 
 
 def run_cells(
@@ -204,7 +182,6 @@ def run_cells(
     master_seed: int,
     instance_id: str,
     re_options: ReOptions | None = None,
-    threads: int | None = None,
     re_options_by_name: dict | None = None,
 ) -> list[CellResult]:
     """Shared runner: every (algorithm, T) cell over a fixed environment.
@@ -213,65 +190,42 @@ def run_cells(
     configurations (e.g. oracle vs plug-in priors) as distinct algorithm
     labels of the form "RE-oracle"; a label's base name before the dash picks
     the policy.
-
-    A thread pool runs the trials only when more than one worker is asked
-    for, and then with at most one worker per CPU and per trial.
     """
     opts_default = re_options or ReOptions()
     results: list[CellResult] = []
-    n_workers = min(resolve_threads(threads), os.cpu_count() or 1, trials)
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if n_workers > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=n_workers))
-            mapper = pool.map
-        cell_index = 0
-        for algorithm in algorithms:
-            base = algorithm.split("-")[0]
-            opts = (re_options_by_name or {}).get(algorithm, opts_default)
-            for T in budgets:
-                start = time.perf_counter()
-                errors, failure = _run_cell(
-                    env, base, int(T), trials, master_seed, cell_index, opts, mapper
+    cell_index = 0
+    for algorithm in algorithms:
+        base = algorithm.split("-")[0]
+        opts = (re_options_by_name or {}).get(algorithm, opts_default)
+        for T in budgets:
+            start = time.perf_counter()
+            errors, failure = _run_cell(
+                env, base, int(T), trials, master_seed, cell_index, opts
+            )
+            elapsed = time.perf_counter() - start
+            p_hat = lo = hi = None
+            if failure is None:
+                lo, hi = wilson_interval(errors, trials)  # refuses trials < 1
+                p_hat = errors / trials
+            results.append(
+                CellResult(
+                    instance_id=instance_id,
+                    algorithm=algorithm,
+                    T=int(T),
+                    trials=trials,
+                    errors=errors,
+                    p_hat=p_hat,
+                    ci_lo=lo,
+                    ci_hi=hi,
+                    wall_time=elapsed,
+                    failure=failure,
                 )
-                elapsed = time.perf_counter() - start
-                if failure is None:
-                    lo, hi = wilson_interval(errors, trials)
-                    results.append(
-                        CellResult(
-                            instance_id=instance_id,
-                            algorithm=algorithm,
-                            T=int(T),
-                            trials=trials,
-                            errors=errors,
-                            p_hat=errors / trials,
-                            ci_lo=lo,
-                            ci_hi=hi,
-                            wall_time=elapsed,
-                        )
-                    )
-                else:
-                    results.append(
-                        CellResult(
-                            instance_id=instance_id,
-                            algorithm=algorithm,
-                            T=int(T),
-                            trials=trials,
-                            errors=None,
-                            p_hat=None,
-                            ci_lo=None,
-                            ci_hi=None,
-                            wall_time=elapsed,
-                            failure=failure,
-                        )
-                    )
-                cell_index += 1
+            )
+            cell_index += 1
     return results
 
 
-def run_experiment(
-    config: ExperimentConfig, threads: int | None = None
-) -> list[CellResult]:
+def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     """Monte-Carlo error table for one generated instance.
 
     A tied best arm raises DuplicateBestArm before any trial runs, rather
@@ -288,7 +242,6 @@ def run_experiment(
         config.master_seed,
         config.instance.instance_id,
         re_options=config.re_options,
-        threads=threads,
     )
 
 
@@ -323,14 +276,6 @@ def result_rows(results) -> list[list]:
     return rows
 
 
-def results_to_csv(results, path) -> None:
-    """Write cells as CSV; absent cells keep their row with empty values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(result_rows(results))
-
-
 def theoretical_bound(
     algorithm: str,
     instance: BanditInstance,
@@ -363,46 +308,17 @@ def theoretical_bound(
     return None
 
 
-def bound_vs_empirical(
-    config: ExperimentConfig, threads: int | None = None
-) -> tuple[list[str], list[list]]:
-    """Per-budget table of empirical error rates next to theoretical bounds.
-
-    Returns (header, rows); empty strings mark cells whose bound or run is
-    not applicable at that budget.
-    """
-    results = run_experiment(config, threads=threads)
-    instance = generate_instance(config.instance)
-    hp = hardness(gap_profile(instance))
-    by_cell = {(r.algorithm, r.T): r for r in results}
-    header = ["T"]
-    for algorithm in config.algorithms:
-        header += [
-            f"{algorithm}_p_hat",
-            f"{algorithm}_ci_lo",
-            f"{algorithm}_ci_hi",
-            f"{algorithm}_bound",
-        ]
-    rows: list[list] = []
-    for T in config.budgets:
-        row: list = [int(T)]
-        for algorithm in config.algorithms:
-            cell = by_cell[(algorithm, int(T))]
-            bound = theoretical_bound(algorithm, instance, int(T), hp)
-            row += [
-                "" if cell.p_hat is None else cell.p_hat,
-                "" if cell.ci_lo is None else cell.ci_lo,
-                "" if cell.ci_hi is None else cell.ci_hi,
-                "" if bound is None else bound,
-            ]
-        rows.append(row)
-    return header, rows
+def _check_grid_size(points: float, text) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ConfigParse(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse a sweep grid: "a:b:step", "a:b:xfactor" (geometric), or "v1,v2,...".
 
-    The a:b forms are inclusive of b up to float tolerance.
+    The a:b forms are inclusive of b up to float tolerance. A grid holds at
+    most MAX_GRID_POINTS points; the a:b forms are counted before any point
+    is built.
     """
     s = str(text).strip()
     if not s:
@@ -415,6 +331,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
             a, b = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigParse(f"bad grid endpoint in {text!r}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigParse(f"grid endpoints must be finite, got {text!r}")
         step = parts[2].strip()
         vals: list[float] = []
         if step.lower().startswith("x"):
@@ -422,10 +340,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
                 q = float(step[1:])
             except ValueError as exc:
                 raise ConfigParse(f"bad grid factor in {text!r}") from exc
-            if q <= 1.0 or a <= 0:
+            if not q > 1.0 or a <= 0:
                 raise ConfigParse("geometric grid needs a > 0 and factor > 1")
+            if b >= a:
+                _check_grid_size(math.log(b / a) / math.log(q), text)
             v = a
-            while v <= b * (1.0 + 1e-12):
+            while v <= b * (1.0 + 1e-12) and len(vals) <= MAX_GRID_POINTS:
                 vals.append(v)
                 v *= q
         else:
@@ -433,21 +353,22 @@ def parse_grid(text: str) -> tuple[float, ...]:
                 d = float(step)
             except ValueError as exc:
                 raise ConfigParse(f"bad grid step in {text!r}") from exc
-            if d <= 0:
-                raise ConfigParse("grid step must be positive")
+            if not 0 < d < math.inf:
+                raise ConfigParse("grid step must be positive and finite")
+            _check_grid_size((b - a) / d, text)
             v = a
-            while v <= b + d * 1e-9:
+            # the length test also ends a step too small to move v
+            while v <= b + d * 1e-9 and len(vals) <= MAX_GRID_POINTS:
                 vals.append(v)
                 v += d
-        if not vals:
-            raise ConfigParse(f"grid {text!r} is empty")
-        return tuple(vals)
-    try:
-        vals = [float(p) for p in s.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigParse(f"bad grid value in {text!r}") from exc
+    else:
+        try:
+            vals = [float(p) for p in s.split(",") if p.strip()]
+        except ValueError as exc:
+            raise ConfigParse(f"bad grid value in {text!r}") from exc
     if not vals:
         raise ConfigParse(f"grid {text!r} is empty")
+    _check_grid_size(len(vals), text)
     return tuple(vals)
 
 
@@ -463,7 +384,7 @@ _INSTANCE_KEYS = {
     "seed",
     "label",
 }
-_RE_OPTION_KEYS = {"alpha", "prior_mode", "eta_override"}
+_RE_OPTION_KEYS = {"alpha", "prior_mode"}
 _ALGORITHMS = {"UE", "SR", "SH", "RE"}
 
 
@@ -507,15 +428,11 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
             means = tuple(float(x) for x in means)
         except (TypeError, ValueError) as exc:
             raise ConfigParse(f"bad means list: {exc}") from exc
-    if "K" in inst:
-        K = int(inst["K"])
-    elif means is not None:
-        K = len(means)
-    else:
+    if "K" not in inst and means is None:
         raise ConfigParse("instance needs K (or explicit means)")
     try:
         spec = InstanceSpec(
-            K=K,
+            K=int(inst["K"]) if "K" in inst else len(means),
             generator=generator,
             family=family,
             mu_star=float(inst.get("mu_star", 1.0)),
@@ -556,23 +473,26 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
         re_options = ReOptions(
             alpha=float(re_raw.get("alpha", 0.0)),
             prior_mode=str(re_raw.get("prior_mode", "oracle")),
-            eta_override=(
-                None
-                if re_raw.get("eta_override") is None
-                else float(re_raw["eta_override"])
-            ),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"bad re_options: {exc}") from exc
-    trials = int(payload.get("trials", 500))
+    try:
+        trials = int(payload.get("trials", 500))
+        master_seed = int(payload.get("master_seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"bad trials or master_seed: {exc}") from exc
     if trials < 1:
         raise ConfigParse(f"need trials >= 1, got {trials}")
+    if master_seed < 0 or spec.seed < 0:
+        raise ConfigParse(
+            f"seeds must be >= 0, got master_seed={master_seed}, seed={spec.seed}"
+        )
     return ExperimentConfig(
         instance=spec,
         budgets=budgets,
         algorithms=algorithms,
         trials=trials,
-        master_seed=int(payload.get("master_seed", 0)),
+        master_seed=master_seed,
         re_options=re_options,
     )
 

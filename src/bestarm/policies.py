@@ -7,13 +7,14 @@ Algorithms run against an environment object exposing batched pulls:
 
 One group play costs one unit of budget (the agent probes a subset and sees
 one scalar), matching the combinatorial-pull model. ``BanditEnv`` adapts a
-``BanditInstance``; the case-study simulators provide their own environments.
+``BanditInstance``; the case-study environments subclass it and replace only
+the pull laws that differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Protocol
 
@@ -68,7 +69,12 @@ class Environment(Protocol):
 
 
 class BanditEnv:
-    """Environment view of a BanditInstance."""
+    """Environment view of a BanditInstance.
+
+    The instance fixes the arms, the best arm, the gaps and the family the
+    RE threshold reads; the pull methods draw from the instance's own law.
+    A subclass with another observation law overrides the pulls it changes.
+    """
 
     def __init__(self, instance: BanditInstance):
         self.instance = instance
@@ -140,7 +146,6 @@ class ReOptions:
 
     alpha: float = 0.0
     prior_mode: str = "oracle"  # "oracle" | "plugin"
-    eta_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -220,26 +225,6 @@ def lrt_threshold_gaussian(
         / ((1.0 - alpha) * K * T * (mu_H_star - mu_L_star))
     )
     return mid + shift
-
-
-def composite_lrt_decision(
-    r_bar: float,
-    mu_L_star: float,
-    mu_H_star: float,
-    pi0: float,
-    pi1: float,
-    var_per_pull: float,
-    n_pulls: float,
-) -> bool:
-    """Direct worst-case-endpoint LRT: pi1 f(r|mu_H*) >= pi0 f(r|mu_L*).
-
-    Kept as an explicit density-ratio computation so tests can confirm it
-    coincides with the threshold rule r_bar > tau_G.
-    """
-    var = var_per_pull / n_pulls
-    log_num = math.log(pi1) - (r_bar - mu_H_star) ** 2 / (2.0 * var)
-    log_den = math.log(pi0) - (r_bar - mu_L_star) ** 2 / (2.0 * var)
-    return log_num > log_den
 
 
 def run_ue(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
@@ -389,7 +374,6 @@ def run_re(
         "prior_mode": opts.prior_mode,
         "alpha": opts.alpha,
         "separability_flag": False,
-        "eta_override": opts.eta_override,
     }
 
     mu_dummy = env.dummy_mean() if code.dummy_arms else 0.0

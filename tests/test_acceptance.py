@@ -21,32 +21,30 @@ from bestarm import (
     ExperimentConfig,
     Gaussian,
     InstanceSpec,
-    bound_exploration_failure,
     bound_re,
+    construct_groups,
+    gap_profile,
+    group_mean_distribution,
+    hardness,
+    run_experiment,
+    run_jammer_experiment,
+    run_radar_experiment,
+    theoretical_bound,
+)
+from bestarm.experiments import generate_instance
+from bestarm.grouping import decode_best_arm, detection_pattern
+from bestarm.hardness import (
+    bound_exploration_failure,
     bound_sh,
     bound_sr,
     bound_ue,
-    compute_priors,
-    construct_groups,
-    decode_best_arm,
-    detection_pattern,
-    gap_profile,
-    generate_instance,
-    group_mean_distribution,
-    hardness,
     log_bound_re,
     log_bound_sh,
     log_bound_sr,
     log_bound_ue,
-    lrt_threshold_gaussian,
     q_function,
-    run_experiment,
-    run_jammer_experiment,
-    run_radar_experiment,
-    run_re,
-    theoretical_bound,
 )
-from bestarm.policies import BanditEnv
+from bestarm.policies import BanditEnv, compute_priors, lrt_threshold_gaussian, run_re
 
 
 def single_gap_instance(K, mu_star, delta, family):

@@ -11,14 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bestarm import (
-    Gaussian,
-    RESULT_COLUMNS,
-    bound_ue,
-    instance_to_json,
-    BanditInstance,
-)
+from bestarm import BanditInstance, Gaussian, RESULT_COLUMNS
 from bestarm.cli import main
+from bestarm.core import instance_to_json
+from bestarm.hardness import bound_ue
 
 
 def run_cli(capsys, argv):
@@ -246,8 +242,8 @@ def test_case_radar_cli(capsys, tmp_path):
     assert all(r[0] == "radar-K8" for r in rows[1:])
 
 
-def assert_one_error(status, out, err, code, out_path):
-    assert status == 1 and out == ""
+def assert_one_error(status, out, err, code, out_path, exit_code=1):
+    assert status == exit_code and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["code"] == code
@@ -325,6 +321,62 @@ def test_group_mean_dist_cli(capsys):
     assert {r[0] for r in rows[1:]} == {"mu_H", "mu_L"}
 
 
+# ------------------------------------------------------ inputs that fail fast
+
+
+def test_hardness_one_arm_fails(capsys, tmp_path):
+    path = gaussian_instance_file(tmp_path, (1.0,), 0.1)
+    out_path = tmp_path / "hardness.csv"
+    status, out, err = run_cli(
+        capsys, ["hardness", "--instance", path, "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "InvalidK", out_path)
+
+
+def test_hardness_nan_mean_fails(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text('{"means": [NaN, 1.0], "family": {"gaussian": {"sigma2": 0.1}}}')
+    out_path = tmp_path / "hardness.csv"
+    status, out, err = run_cli(
+        capsys, ["hardness", "--instance", str(path), "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "SupportViolation", out_path)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"trials": "many"}, {"master_seed": -1}, {"re_options": {"eta_override": 0.5}}],
+)
+def test_simulate_bad_config_value_exits_2(capsys, tmp_path, override):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SIM_CONFIG, **override}))
+    out_path = tmp_path / "result.csv"
+    status, out, err = run_cli(
+        capsys, ["simulate", "--config", str(cfg), "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+
+
+def test_case_jammer_zero_trials_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "jammer.csv"
+    status, out, err = run_cli(
+        capsys, ["case-jammer", "--trials", "0", "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+
+
+def test_bounds_huge_grid_exits_2(capsys, tmp_path):
+    # 1e12 budgets: counted, not built, so this returns at once
+    path = gaussian_instance_file(tmp_path, (1.0, 0.5), 0.1)
+    out_path = tmp_path / "bounds.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["bounds", "--instance", path, "--budgets", "1:1e12:1",
+         "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+
+
 # ------------------------------------------------------------ console script
 
 
@@ -343,6 +395,15 @@ def test_console_script_wiring(cli_env):
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "group_id,members"
     assert proc.stdout.splitlines()[1] == "G1,2;4"
+
+
+def test_python_m_bestarm(cli_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bestarm", "groups", "--K", "4"],
+        env=cli_env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["group_id,members", "G1,2;4", "G2,3;4"]
 
 
 @pytest.mark.skipif(shutil.which("bestarm") is None,

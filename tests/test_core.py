@@ -17,18 +17,20 @@ from bestarm import (
     EmptyGroup,
     Gaussian,
     IndexOutOfRange,
-    RngStream,
+    InvalidK,
     SupportViolation,
-    dummy_mean,
     gap_profile,
     instance_from_json,
+)
+from bestarm.core import (
+    RngStream,
+    dummy_mean,
     instance_to_json,
-    sample_arm,
     sample_arm_sum,
     sample_arms_sum,
-    sample_group,
     sample_group_sum,
 )
+from oracles import sample_arm, sample_group
 
 
 def rng(seed=0):
@@ -50,6 +52,14 @@ def test_instance_rejects_unit_means_outside_01():
 def test_instance_rejects_negative_variance():
     with pytest.raises(SupportViolation):
         Gaussian(-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instance_rejects_non_finite_values(bad):
+    with pytest.raises(SupportViolation):
+        BanditInstance(means=(1.0, bad), family=Gaussian(0.1))
+    with pytest.raises(SupportViolation):
+        Gaussian(bad)
 
 
 def test_best_arm_is_one_indexed():
@@ -81,6 +91,13 @@ def test_gap_profile_hand_computed():
     assert prof.gaps == pytest.approx((0.05, 0.05, 0.1))
     assert prof.delta_min == pytest.approx(0.05)
     assert prof.delta_max == pytest.approx(0.1)
+
+
+def test_gap_profile_needs_two_arms():
+    inst = BanditInstance(means=(0.5,), family=Bernoulli())  # legal instance
+    assert inst.best_arm == 1
+    with pytest.raises(InvalidK):
+        gap_profile(inst)
 
 
 def test_gap_profile_duplicate_best_raises():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bestarm import (
-    BanditEnv,
     BanditInstance,
     Bernoulli,
     BoundedUnit,
@@ -18,24 +17,18 @@ from bestarm import (
     RESULT_COLUMNS,
     SupportViolation,
     bound_re,
-    bound_sh,
-    bound_sr,
-    bound_ue,
-    bound_vs_empirical,
     experiment_config_from_json,
     gap_profile,
-    generate_instance,
     group_mean_distribution,
     group_mean_distribution_rows,
     hardness,
     parse_grid,
-    resolve_threads,
     run_experiment,
     theoretical_bound,
-    wilson_interval,
 )
 from bestarm import experiments
-from bestarm.experiments import result_rows, run_cells
+from bestarm.experiments import generate_instance, result_rows, wilson_interval
+from bestarm.hardness import bound_sh, bound_sr, bound_ue
 
 
 # ------------------------------------------------------------ wilson interval
@@ -172,7 +165,7 @@ def test_run_experiment_noiseless_all_algorithms_exact():
     spec = InstanceSpec(K=4, generator="single_gap", family=Gaussian(0.0),
                         delta_min=0.3, delta_max=0.3)
     cfg = ExperimentConfig(instance=spec, budgets=(40,), trials=8)
-    for cell in run_experiment(cfg, threads=2):
+    for cell in run_experiment(cfg):
         assert cell.failure is None
         assert cell.errors == 0 and cell.p_hat == 0.0
         assert cell.ci_lo == 0.0
@@ -184,7 +177,7 @@ def test_run_experiment_matches_exact_enumeration():
                         means=(0.9, 0.1))
     cfg = ExperimentConfig(instance=spec, budgets=(2,), algorithms=("UE",),
                            trials=40_000, master_seed=7)
-    cell = run_experiment(cfg, threads=4)[0]
+    cell = run_experiment(cfg)[0]
     exact = 0.1 * 0.1
     assert cell.p_hat == pytest.approx(exact, abs=0.0015)
     assert cell.ci_lo < exact < cell.ci_hi
@@ -195,7 +188,7 @@ def test_run_experiment_grouped_beats_single_pull_at_tight_budget():
                         delta_min=0.5, delta_max=0.5)
     cfg = ExperimentConfig(instance=spec, budgets=(64,),
                            algorithms=("SR", "SH", "RE"), trials=300)
-    by_alg = {c.algorithm: c for c in run_experiment(cfg, threads=4)}
+    by_alg = {c.algorithm: c for c in run_experiment(cfg)}
     assert by_alg["RE"].p_hat < by_alg["SR"].p_hat
     assert by_alg["RE"].p_hat < by_alg["SH"].p_hat
 
@@ -217,9 +210,9 @@ def test_run_experiment_deterministic_across_threads():
                         delta_min=0.5, delta_max=0.5)
     cfg = ExperimentConfig(instance=spec, budgets=(40, 80), trials=30,
                            master_seed=3)
-    a = [(c.algorithm, c.T, c.errors) for c in run_experiment(cfg, threads=1)]
-    b = [(c.algorithm, c.T, c.errors) for c in run_experiment(cfg, threads=4)]
-    c = [(c.algorithm, c.T, c.errors) for c in run_experiment(cfg, threads=4)]
+    a = [(c.algorithm, c.T, c.errors) for c in run_experiment(cfg)]
+    b = [(c.algorithm, c.T, c.errors) for c in run_experiment(cfg)]
+    c = [(c.algorithm, c.T, c.errors) for c in run_experiment(cfg)]
     assert a == b == c
 
 
@@ -269,23 +262,6 @@ def test_theoretical_bound_none_cases():
         assert theoretical_bound(alg, noiseless, 100) is None
 
 
-def test_bound_vs_empirical_layout():
-    spec = InstanceSpec(K=4, generator="single_gap", family=Gaussian(0.1),
-                        delta_min=0.5, delta_max=0.5)
-    cfg = ExperimentConfig(instance=spec, budgets=(4, 40),
-                           algorithms=("UE", "SR"), trials=20)
-    header, rows = bound_vs_empirical(cfg, threads=2)
-    assert header == [
-        "T",
-        "UE_p_hat", "UE_ci_lo", "UE_ci_hi", "UE_bound",
-        "SR_p_hat", "SR_ci_lo", "SR_ci_hi", "SR_bound",
-    ]
-    assert [r[0] for r in rows] == [4, 40]
-    first, second = rows
-    assert first[4] != "" and first[8] == ""  # SR bound undefined at T == K
-    assert all(v != "" for v in second[1:])
-
-
 # ------------------------------------------------------------------ grid parse
 
 
@@ -301,6 +277,22 @@ def test_parse_grid_rejections():
     bad = ["", "1:2", "a:10:1", "1:b:1", "1:10:c", "1:10:x0.5",
            "-1:10:x2", "1:10:-2", "1:10:0", "abc,def", "5:1:1", ","]
     for text in bad:
+        with pytest.raises(ConfigParse):
+            parse_grid(text)
+
+
+def test_parse_grid_caps_its_length():
+    cap = experiments.MAX_GRID_POINTS
+    assert len(parse_grid(f"1:{cap}:1")) == cap
+    assert len(parse_grid(",".join(["1"] * cap))) == cap
+    # too many points: refused from the count, before any point is built
+    for text in (f"1:{cap + 1}:1", "1:1e12:1", "1:1e300:x1.0000001",
+                 ",".join(["1"] * (cap + 1))):
+        with pytest.raises(ConfigParse, match="more than"):
+            parse_grid(text)
+    # steps that cannot move the value, and endpoints no step can reach
+    for text in ("1:1:1e-300", "1:10:inf", "1:inf:1", "-inf:1:1", "nan:1:1",
+                 "1:10:nan", "1:10:xnan"):
         with pytest.raises(ConfigParse):
             parse_grid(text)
 
@@ -378,81 +370,6 @@ def test_config_rejections():
     for text in bad:
         with pytest.raises(ConfigParse):
             experiment_config_from_json(text)
-
-
-# --------------------------------------------------------------- thread count
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.setenv("BAI_THREADS", "5")
-    assert resolve_threads() == 5
-    assert resolve_threads(3) == 3  # explicit argument wins over env
-    assert resolve_threads(0) == 1
-    monkeypatch.setenv("BAI_THREADS", "0")
-    assert resolve_threads() == 1
-    monkeypatch.setenv("BAI_THREADS", "abc")
-    with pytest.raises(ConfigParse):
-        resolve_threads()
-    monkeypatch.delenv("BAI_THREADS")
-    assert resolve_threads() >= 1
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """max_workers of every thread pool run_cells makes; no thread starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
-def _tiny_env():
-    return BanditEnv(BanditInstance(means=(1.0, 0.5, 0.5), family=Gaussian(0.1)))
-
-
-def test_run_cells_default_runs_inline(monkeypatch, pool_sizes):
-    monkeypatch.delenv("BAI_THREADS", raising=False)
-    cells = run_cells(_tiny_env(), ("UE", "SR"), (30,), 8, 0, "tiny")
-    assert pool_sizes == []
-    assert all(c.failure is None for c in cells)
-
-
-def test_run_cells_bounds_pool_by_cpus_and_trials(monkeypatch, pool_sizes):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("BAI_THREADS", "100000")
-    run_cells(_tiny_env(), ("UE",), (30,), 3, 0, "tiny")  # capped by trials
-    run_cells(_tiny_env(), ("UE",), (30,), 50, 0, "tiny")  # capped by CPUs
-    run_cells(_tiny_env(), ("UE",), (30,), 50, 0, "tiny", threads=2)
-    run_cells(_tiny_env(), ("UE",), (30,), 1, 0, "tiny")  # one trial: inline
-    assert pool_sizes == [3, 4, 2]
-
-
-def test_run_cells_real_pool_matches_inline(monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("BAI_THREADS", raising=False)
-    env = BanditEnv(BanditInstance(means=(1.0, 0.8, 0.7, 0.6), family=Gaussian(0.5)))
-
-    def cells(threads):
-        return [(c.algorithm, c.T, c.errors) for c in
-                run_cells(env, ("UE", "SR", "SH", "RE"), (8, 24), 40, 5, "x",
-                          threads=threads)]
-
-    inline = cells(None)
-    assert cells(4) == inline
-    assert sum(errors for _, _, errors in inline) > 0
 
 
 def test_run_experiment_tied_best_arm_runs_no_trial(monkeypatch):

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bestarm import (
-    DecodedDummyArm,
-    IndexOutOfRange,
-    InvalidK,
-    construct_groups,
-    decode_best_arm,
-    detection_pattern,
-)
+from bestarm import DecodedDummyArm, IndexOutOfRange, InvalidK, construct_groups
+from bestarm.grouping import decode_best_arm, detection_pattern
 
 
 def test_groups_k4():

@@ -14,13 +14,15 @@ from bestarm import (
     Gaussian,
     InvalidK,
     SeparabilityViolated,
-    bound_exploration_failure,
     bound_re,
+    gap_profile,
+    hardness,
+)
+from bestarm.hardness import (
+    bound_exploration_failure,
     bound_sh,
     bound_sr,
     bound_ue,
-    gap_profile,
-    hardness,
     log_bound_re,
     log_bound_sh,
     log_bound_sr,

@@ -17,19 +17,21 @@ from bestarm import (
     ReOptions,
     SeparabilityViolated,
     bound_re,
-    compute_priors,
-    composite_lrt_decision,
     gap_profile,
     hardness,
-    lrt_threshold_gaussian,
-    q_function,
     run_policy,
+)
+from bestarm.experiments import wilson_interval
+from bestarm.hardness import q_function
+from bestarm.policies import (
+    compute_priors,
+    lrt_threshold_gaussian,
     run_re,
     run_sh,
     run_sr,
     run_ue,
-    wilson_interval,
 )
+from oracles import composite_lrt_decision
 
 
 def rng(seed=0):

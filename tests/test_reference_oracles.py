@@ -22,22 +22,20 @@ from bestarm import (
     EmptyGroup,
     Gaussian,
     IndexOutOfRange,
-    RadarEnv,
     RadarScenario,
     construct_groups,
     run_policy,
-    run_sr,
-    sample_arms_sum,
-    sample_group,
-    sample_group_sum,
 )
 from bestarm.casestudies import (
+    RadarEnv,
     _COUNT_BLOCK,
     _EDGE_EPS,
     _slots_that_can_start,
     signal_sample_counts,
 )
-from bestarm.policies import _expit, _pull_each, _real_members, _sr_logbar
+from bestarm.core import sample_arms_sum, sample_group_sum
+from bestarm.policies import _expit, _pull_each, _real_members, _sr_logbar, run_sr
+from oracles import sample_group
 
 
 def reference_run_sr(env, T, rng):
