@@ -41,6 +41,8 @@ DEFAULT_RADAR_PLAYS = (1200, 3000, 6000)
 # Fraction of a microsecond used to absorb float error when a pulse edge
 # lands exactly on a sample instant.
 _EDGE_EPS = 1e-6
+# Pulse-train draws behind the fixed-seed signal-energy oracle.
+_SIGNAL_DRAWS = 200_000
 # Plays per block when counting on-pulse samples. It bounds the (plays x
 # slots) arrays: unblocked, they raised the peak RSS of a process that
 # imports bestarm.cli and runs the 200 000-draw signal-energy oracle from
@@ -218,7 +220,7 @@ def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
 _SIGNAL_MEAN_CACHE: dict[tuple, float] = {}
 
 
-def mean_signal_energy(scenario: RadarScenario, draws: int = 200_000) -> float:
+def mean_signal_energy(scenario: RadarScenario) -> float:
     """Expected per-play signal energy, by a fixed-seed Monte-Carlo oracle.
 
     With unit amplitude the signal energy of a play equals its on-pulse
@@ -233,11 +235,10 @@ def mean_signal_energy(scenario: RadarScenario, draws: int = 200_000) -> float:
         scenario.width_range,
         scenario.pri_range,
         scenario.delay_range,
-        draws,
     )
     if key not in _SIGNAL_MEAN_CACHE:
-        rng = np.random.default_rng([8_675_309, scenario.N, draws])
-        counts = signal_sample_counts(scenario, draws, rng)
+        rng = np.random.default_rng([8_675_309, scenario.N, _SIGNAL_DRAWS])
+        counts = signal_sample_counts(scenario, _SIGNAL_DRAWS, rng)
         _SIGNAL_MEAN_CACHE[key] = float(counts.mean())
     return _SIGNAL_MEAN_CACHE[key]
 
@@ -336,7 +337,7 @@ class RadarEnv(BanditEnv):
         return float((nv / 2.0) * chi)
 
     def pull_arms_sum(self, arms, n: int, rng) -> np.ndarray:
-        """pull_arm_sum for each arm in order; the inherited Gaussian batch
+        """One pull_arm_sum per arm, in order; the inherited Gaussian batch
         would draw from the wrong law."""
         return np.array([self.pull_arm_sum(int(a), n, rng) for a in arms], dtype=float)
 

@@ -269,6 +269,8 @@ def _fail(exc: BestArmError, status: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigParse(f"--seed must be >= 0, got {args.seed}")
         header, rows = args.handler(args)
         _write_csv(header, rows, args.out)
     except ConfigParse as exc:

@@ -155,12 +155,6 @@ class RngStream:
         return np.random.default_rng([self.master_seed, self.stream_id])
 
 
-def _check_arm(instance: BanditInstance, arm: int) -> int:
-    if not 1 <= arm <= instance.K:
-        raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
-    return arm - 1
-
-
 def _arm_array(arms) -> np.ndarray:
     """Arms as an int64 array; an int64 array passes through uncopied."""
     if isinstance(arms, np.ndarray):
@@ -194,30 +188,14 @@ def _member_indices(instance: BanditInstance, members) -> np.ndarray:
     return _check_arms(instance, arms)
 
 
-def sample_arm_sum(
-    instance: BanditInstance, arm: int, n: int, rng: np.random.Generator
-) -> float:
-    """Sum of n i.i.d. draws from one arm, sampled via sufficient statistics.
-
-    Distributionally identical to summing n single draws: the Gaussian
-    sum is N(n*mu, n*sigma2) and the Bernoulli sum is Binomial(n, mu).
-    """
-    idx = _check_arm(instance, arm)
-    if n <= 0:
-        return 0.0
-    mu = instance.means[idx]
-    if isinstance(instance.family, Gaussian):
-        return float(rng.normal(n * mu, np.sqrt(n * instance.family.sigma2)))
-    return float(rng.binomial(n, mu))
-
-
 def sample_arms_sum(
     instance: BanditInstance, arms, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vector of n-pull reward sums, one independent entry per arm in `arms`.
 
-    Same law as calling sample_arm_sum per arm; one batched draw keeps
-    K-phase schedules like successive rejects cheap at large K.
+    Each entry is drawn from its sufficient statistic, with the law of n
+    summed single draws: the Gaussian sum is N(n*mu, n*sigma2) and the
+    Bernoulli sum is Binomial(n, mu). All arms share one numpy call.
     """
     idx = _check_arms(instance, _arm_array(arms))
     if n <= 0:
@@ -261,17 +239,6 @@ def dummy_mean(instance: BanditInstance) -> float:
     if _is_unit_family(instance.family):
         return max(0.0, raw)
     return raw
-
-
-def instance_to_json(instance: BanditInstance) -> str:
-    if isinstance(instance.family, Gaussian):
-        family = {"gaussian": {"sigma2": instance.family.sigma2}}
-    elif isinstance(instance.family, Bernoulli):
-        family = "bernoulli"
-    else:
-        family = "bounded"
-    payload = {"K": instance.K, "means": list(instance.means), "family": family}
-    return json.dumps(payload)
 
 
 def family_from_json(family_spec) -> Family:

@@ -38,7 +38,6 @@ from .hardness import (
 )
 from .policies import BanditEnv, Environment, ReOptions, run_policy
 
-_WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 # Most points parse_grid returns: far more budgets or noise levels than a
 # sweep can run, and few enough to hold in memory.
 MAX_GRID_POINTS = 100_000
@@ -52,10 +51,11 @@ GENERATORS = (
 )
 
 
-def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ConfigParse(f"need trials >= 1, got {trials}")
+    z = 1.959963984540054  # standard normal 97.5% quantile
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -154,6 +154,12 @@ class CellResult:
     failure: str | None = None  # error code when the cell is absent
 
 
+def check_budgets(budgets) -> None:
+    """Refuse a budget that buys no pull."""
+    if any(int(T) < 1 for T in budgets):
+        raise ConfigParse(f"budgets must be >= 1, got {list(budgets)}")
+
+
 def _run_cell(
     env: Environment,
     algorithm: str,
@@ -191,6 +197,7 @@ def run_cells(
     labels of the form "RE-oracle"; a label's base name before the dash picks
     the policy.
     """
+    check_budgets(budgets)
     opts_default = re_options or ReOptions()
     results: list[CellResult] = []
     cell_index = 0
@@ -454,8 +461,7 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
             raise ConfigParse(f"bad budget value: {exc}") from exc
     else:
         raise ConfigParse("budgets must be a nonempty list or a grid string")
-    if any(T < 1 for T in budgets):
-        raise ConfigParse(f"budgets must be >= 1, got {budgets}")
+    check_budgets(budgets)
     algorithms_raw = payload.get("algorithms", list(("UE", "SR", "SH", "RE")))
     if isinstance(algorithms_raw, str):
         algorithms_raw = [p.strip() for p in algorithms_raw.split(",") if p.strip()]
@@ -540,6 +546,10 @@ def group_mean_distribution(
         raise ConfigParse(f"need even K >= 2, got {K}")
     if samples < 1:
         raise ConfigParse(f"need samples >= 1, got {samples}")
+    if bins < 1:
+        raise ConfigParse(f"need bins >= 1, got {bins}")
+    if not all(map(math.isfinite, (delta_min, delta_max, mu_star))):
+        raise ConfigParse("delta_min, delta_max and mu_star must be finite")
     if delta_min > delta_max:
         raise ConfigParse(f"delta_min {delta_min} > delta_max {delta_max}")
     rng = np.random.default_rng([master_seed, K, samples])

@@ -16,9 +16,6 @@ import numpy as np
 from .core import BoundedUnit, Bernoulli, Family, Gaussian, GapProfile
 from .errors import BudgetTooSmall, InvalidK, SeparabilityViolated
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class HardnessProfile:
     H1: float
@@ -42,7 +39,7 @@ class HardnessProfile:
         }
 
 
-def hardness(profile: GapProfile, K: int | None = None) -> HardnessProfile:
+def hardness(profile: GapProfile) -> HardnessProfile:
     """Hardness terms of a gap profile.
 
     H1 sums 1/Delta_i^2 over all K arms with the best arm contributing its
@@ -51,10 +48,7 @@ def hardness(profile: GapProfile, K: int | None = None) -> HardnessProfile:
     constant min(1, K^2 H4 margin^2), absent when the margin is negative.
     """
     g = np.asarray(profile.gaps)
-    if K is None:
-        K = len(g)
-    elif K != len(g):
-        raise InvalidK(f"K={K} does not match profile with {len(g)} gaps")
+    K = len(g)
     H1 = float(np.sum(1.0 / g**2))
     idx = np.arange(2, K + 1)
     H2 = float(np.max(idx / g[1:] ** 2))
@@ -84,22 +78,7 @@ def q_function(x):
     return float(out) if out.ndim == 0 else out
 
 
-def q_lower(x):
-    """Lower bound x/((1+x^2) sqrt(2 pi)) exp(-x^2/2), valid for x > 0."""
-    x = np.asarray(x, dtype=float)
-    out = x / ((1.0 + x**2) * _SQRT_2PI) * np.exp(-(x**2) / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def q_upper(x):
-    """Upper bound exp(-x^2/2)/(x sqrt(2 pi)), valid for x > 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.exp(-(x**2) / 2.0) / (x * _SQRT_2PI)
-    return float(out) if out.ndim == 0 else out
-
-
-def _family_kind(family, sigma2: float | None) -> tuple[str, float | None]:
+def _bound_family(family, sigma2: float | None) -> tuple[str, float | None]:
     if isinstance(family, Gaussian):
         s2 = family.sigma2 if sigma2 is None else sigma2
         if s2 <= 0:
@@ -116,17 +95,17 @@ def _family_kind(family, sigma2: float | None) -> tuple[str, float | None]:
     raise InvalidK(f"unknown reward family {family!r}")
 
 
-def _finish(logv, clip: bool):
+def _finish(logv):
+    """A log bound as its value clipped to [0, 1]."""
     arr = np.asarray(logv, dtype=float)
-    if clip:
-        with np.errstate(over="ignore"):
-            arr = np.minimum(np.exp(arr), 1.0)
+    with np.errstate(over="ignore"):
+        arr = np.minimum(np.exp(arr), 1.0)
     return float(arr) if arr.ndim == 0 else arr
 
 
 def log_bound_ue(family: Family | str, K: int, T, H3: float, sigma2: float | None = None):
     """Natural log of the uniform-exploration error bound."""
-    kind, s2 = _family_kind(family, sigma2)
+    kind, s2 = _bound_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     if kind == "bounded":
         out = math.log(K - 1) - T / (2.0 * H3)
@@ -141,12 +120,12 @@ def log_bound_ue(family: Family | str, K: int, T, H3: float, sigma2: float | Non
 
 
 def bound_ue(family, K, T, H3, sigma2=None):
-    return _finish(log_bound_ue(family, K, T, H3, sigma2), clip=True)
+    return _finish(log_bound_ue(family, K, T, H3, sigma2))
 
 
 def log_bound_sr(family: Family | str, K: int, T, H2: float, sigma2: float | None = None):
     """Natural log of the successive-rejects bound; needs T > K."""
-    kind, s2 = _family_kind(family, sigma2)
+    kind, s2 = _bound_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     if np.any(T <= K):
         raise BudgetTooSmall(f"SR bound needs T > K={K}")
@@ -164,12 +143,12 @@ def log_bound_sr(family: Family | str, K: int, T, H2: float, sigma2: float | Non
 
 
 def bound_sr(family, K, T, H2, sigma2=None):
-    return _finish(log_bound_sr(family, K, T, H2, sigma2), clip=True)
+    return _finish(log_bound_sr(family, K, T, H2, sigma2))
 
 
 def log_bound_sh(family: Family | str, K: int, T, H2: float, sigma2: float | None = None):
     """Natural log of the sequential-halving bound."""
-    kind, s2 = _family_kind(family, sigma2)
+    kind, s2 = _bound_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     m = math.log2(K)
     lead = math.log(3.0 * m)
@@ -186,7 +165,7 @@ def log_bound_sh(family: Family | str, K: int, T, H2: float, sigma2: float | Non
 
 
 def bound_sh(family, K, T, H2, sigma2=None):
-    return _finish(log_bound_sh(family, K, T, H2, sigma2), clip=True)
+    return _finish(log_bound_sh(family, K, T, H2, sigma2))
 
 
 def log_bound_re(
@@ -205,7 +184,7 @@ def log_bound_re(
         raise InvalidK(f"RE bound needs a power-of-two K, got {K}")
     if eta is None or not 0.0 < eta <= 1.0:
         raise SeparabilityViolated(f"RE bound needs eta in (0,1], got {eta}")
-    kind, s2 = _family_kind(family, sigma2)
+    kind, s2 = _bound_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     m = math.log2(K)
     if kind == "bounded":
@@ -221,7 +200,7 @@ def log_bound_re(
 
 
 def bound_re(family, K, T, H4, eta, sigma2=None):
-    return _finish(log_bound_re(family, K, T, H4, eta, sigma2), clip=True)
+    return _finish(log_bound_re(family, K, T, H4, eta, sigma2))
 
 
 def bound_exploration_failure(K: int, m: int, eps: float, sigma2: float):

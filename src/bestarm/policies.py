@@ -1,8 +1,8 @@
 """Fixed-budget best-arm algorithms: UE, SR, SH, and grouped exploration RE.
 
-Algorithms run against an environment object exposing batched pulls:
+Algorithms sample an environment in one unit, n plays of a set of arms:
 
-* ``pull_arm_sum(arm, n, rng)`` -- sum of n i.i.d. single-arm rewards;
+* ``pull_arms_sum(arms, n, rng)`` -- one sum of n i.i.d. rewards per arm;
 * ``pull_group_sum(members, n, rng)`` -- sum of n i.i.d. group-play rewards.
 
 One group play costs one unit of budget (the agent probes a subset and sees
@@ -36,11 +36,10 @@ _EPS_GAP = 1e-6  # floor for plug-in gap estimates
 class Environment(Protocol):
     """What a policy needs from the world it samples.
 
-    Arms are 1-based ints. The `members` of a group pull arrive as a sorted
-    read-only int64 array that is shared between trials. The `arms` of an
-    optional batched `pull_arms_sum(arms, n, rng)` are an ascending range,
-    list or int64 array. Read both with len(), iteration or indexing, and
-    never mutate them.
+    Arms are 1-based ints. The `arms` of `pull_arms_sum` are an ascending
+    range, list or int64 array. The `members` of a group pull arrive as a
+    sorted read-only int64 array that is shared between trials. Read both
+    with len(), iteration or indexing, and never mutate them.
     """
 
     @property
@@ -50,20 +49,16 @@ class Environment(Protocol):
     def best_arm(self) -> int: ...
 
     @property
-    def family_kind(self) -> str:
-        """"gaussian" or "bounded"; selects the RE detection threshold."""
-        ...
-
-    @property
     def sigma2(self) -> float | None:
-        """Per-pull reward variance used by the Gaussian LRT threshold."""
+        """Per-pull reward variance for the Gaussian LRT threshold; None for
+        the bounded families, which use the endpoint midpoint."""
         ...
 
     def true_gap_profile(self) -> GapProfile: ...
 
     def dummy_mean(self) -> float: ...
 
-    def pull_arm_sum(self, arm: int, n: int, rng: np.random.Generator) -> float: ...
+    def pull_arms_sum(self, arms, n: int, rng: np.random.Generator) -> np.ndarray: ...
 
     def pull_group_sum(self, members, n: int, rng: np.random.Generator) -> float: ...
 
@@ -71,8 +66,8 @@ class Environment(Protocol):
 class BanditEnv:
     """Environment view of a BanditInstance.
 
-    The instance fixes the arms, the best arm, the gaps and the family the
-    RE threshold reads; the pull methods draw from the instance's own law.
+    The instance fixes the arms, the best arm, the gaps and the variance
+    the RE threshold reads; the pull methods draw from the instance's law.
     A subclass with another observation law overrides the pulls it changes.
     """
 
@@ -86,10 +81,6 @@ class BanditEnv:
     @property
     def best_arm(self) -> int:
         return self.instance.best_arm
-
-    @property
-    def family_kind(self) -> str:
-        return "gaussian" if isinstance(self.instance.family, Gaussian) else "bounded"
 
     @property
     def sigma2(self) -> float | None:
@@ -107,22 +98,11 @@ class BanditEnv:
     def dummy_mean(self) -> float:
         return core.dummy_mean(self.instance)
 
-    def pull_arm_sum(self, arm: int, n: int, rng: np.random.Generator) -> float:
-        return core.sample_arm_sum(self.instance, arm, n, rng)
-
     def pull_arms_sum(self, arms, n: int, rng: np.random.Generator) -> np.ndarray:
         return core.sample_arms_sum(self.instance, arms, n, rng)
 
     def pull_group_sum(self, members, n: int, rng: np.random.Generator) -> float:
         return core.sample_group_sum(self.instance, members, n, rng)
-
-
-def _pull_each(env: Environment, arms, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n-pull sums for several arms, using the batched method when offered."""
-    batched = getattr(env, "pull_arms_sum", None)
-    if batched is not None:
-        return np.asarray(batched(arms, n, rng), dtype=float)
-    return np.array([env.pull_arm_sum(int(a), n, rng) for a in arms], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -154,17 +134,6 @@ class ReOptions:
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
         if self.prior_mode == "plugin" and self.alpha <= 0.0:
             raise ValueError("plugin priors need alpha > 0")
-
-
-@dataclass(frozen=True)
-class GroupHypothesis:
-    """Worst-case endpoint means, priors, and threshold of one group test."""
-
-    mu_H_star: float
-    mu_L_star: float
-    pi0: float
-    pi1: float
-    tau: float
 
 
 def _expit(x: float) -> float:
@@ -233,7 +202,7 @@ def run_ue(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
     if T < K:
         raise BudgetTooSmall(f"UE needs T >= K, got T={T}, K={K}")
     n = T // K
-    means = _pull_each(env, range(1, K + 1), n, rng) / n
+    means = env.pull_arms_sum(range(1, K + 1), n, rng) / n
     rec = int(np.argmax(means)) + 1  # argmax takes the lowest index on ties
     return PolicyRun(
         algorithm="UE",
@@ -271,7 +240,7 @@ def run_sr(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
         n_prev = n_k
         if inc > 0:
             arms = np.flatnonzero(alive) + 1  # ascending, as the draws expect
-            sums[alive] += _pull_each(env, arms, inc, rng)
+            sums[alive] += env.pull_arms_sum(arms, inc, rng)
             counts[alive] += inc
             pulls_used += inc * len(arms)
             order = None
@@ -311,7 +280,7 @@ def run_sh(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
             picked = rng.choice(len(alive), size=keep, replace=False)
             alive = sorted(alive[i] for i in picked)
             continue
-        means = _pull_each(env, alive, n_r, rng) / n_r
+        means = env.pull_arms_sum(alive, n_r, rng) / n_r
         pulls_used += n_r * len(alive)
         order = np.lexsort((np.arange(len(alive)), -means))
         alive = sorted(alive[i] for i in order[:keep])
@@ -386,7 +355,7 @@ def run_re(
             raise BudgetTooSmall(
                 f"alpha={opts.alpha} gives no exploration pulls at T={T}"
             )
-        arm_hat = _pull_each(env, range(1, K + 1), n1, rng) / n1
+        arm_hat = env.pull_arms_sum(range(1, K + 1), n1, rng) / n1
         pulls_used += n1 * K
 
     # Hypothesis endpoints from oracle gaps or plug-in estimates.
@@ -425,44 +394,32 @@ def run_re(
     len_L1 = (1.0 - 2.0 / Kp) * (d_max - d2)
     len_L0 = d_max - d2
 
-    hypotheses: list[GroupHypothesis] = []
+    groups = []  # priors, threshold and outcome of each group test
     for k in range(m):
         if degenerate or group_hat[k] is None:
             pi0, pi1 = 0.5, 0.5
         else:
             pi0, pi1 = compute_priors(group_hat[k], E_muH, E_muL, len_L1, len_L0)
-        if (
-            env.family_kind == "gaussian"
-            and separable
-            and sigma2 is not None
-        ):
+        if separable and sigma2 is not None:
             tau = lrt_threshold_gaussian(
                 mu_H_star, mu_L_star, pi0, pi1, Kp, T, opts.alpha, sigma2
             )
         else:
             # bounded families and flagged runs use the prior-free midpoint
             tau = midpoint
-        hypotheses.append(
-            GroupHypothesis(
-                mu_H_star=mu_H_star,
-                mu_L_star=mu_L_star,
-                pi0=pi0,
-                pi1=pi1,
-                tau=tau,
-            )
-        )
+        groups.append({"mu_hat_G": group_hat[k], "pi0": pi0, "pi1": pi1, "tau": tau})
 
     # Phase 2: one scalar observation per group play.
     detections = []
-    group_means = []
-    for k, (members, real) in enumerate(zip(code.groups, _real_members(K))):
+    for group, members, real in zip(groups, code.groups, _real_members(K)):
         s = env.pull_group_sum(real, n_group, rng)
         mean_real = s / n_group
         n_dummy = len(members) - len(real)
         r_bar = (len(real) * mean_real + n_dummy * mu_dummy) / len(members)
         pulls_used += n_group
-        group_means.append(r_bar)
-        detections.append(1 if r_bar > hypotheses[k].tau else 0)
+        group["delta"] = 1 if r_bar > group["tau"] else 0
+        group["phase2_mean"] = r_bar
+        detections.append(group["delta"])
 
     try:
         rec = decode_best_arm(code, detections)
@@ -474,17 +431,7 @@ def run_re(
         else:
             rec = max(1, min(K, exc.arm % K))
 
-    diag["groups"] = [
-        {
-            "mu_hat_G": group_hat[k],
-            "pi0": hypotheses[k].pi0,
-            "pi1": hypotheses[k].pi1,
-            "tau": hypotheses[k].tau,
-            "delta": detections[k],
-            "phase2_mean": group_means[k],
-        }
-        for k in range(m)
-    ]
+    diag["groups"] = groups
     diag["mu_H_star"] = mu_H_star
     diag["mu_L_star"] = mu_L_star
     diag["decoded_dummy"] = decoded_dummy

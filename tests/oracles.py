@@ -3,25 +3,56 @@
 Single draws and per-sample simulations that the package replaced with
 sufficient-statistic draws, and the explicit density-ratio form of RE's
 group test: each is the plain definition of a law, kept here so the tests
-can compare the fast paths with it.
+can compare the fast paths with it. The Gaussian tail bounds and the
+instance writer serve the same tests.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from bestarm.casestudies import _EDGE_EPS, JammerScenario, RadarScenario
-from bestarm.core import BanditInstance, Gaussian, _check_arm, _member_indices
+from bestarm.core import BanditInstance, Bernoulli, Gaussian, _member_indices
 from bestarm.errors import EmptySubset, IndexOutOfRange
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def instance_to_json(instance: BanditInstance) -> str:
+    if isinstance(instance.family, Gaussian):
+        family = {"gaussian": {"sigma2": instance.family.sigma2}}
+    elif isinstance(instance.family, Bernoulli):
+        family = "bernoulli"
+    else:
+        family = "bounded"
+    payload = {"K": instance.K, "means": list(instance.means), "family": family}
+    return json.dumps(payload)
+
+
+def q_lower(x):
+    """Lower bound x/((1+x^2) sqrt(2 pi)) exp(-x^2/2), valid for x > 0."""
+    x = np.asarray(x, dtype=float)
+    out = x / ((1.0 + x**2) * _SQRT_2PI) * np.exp(-(x**2) / 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def q_upper(x):
+    """Upper bound exp(-x^2/2)/(x sqrt(2 pi)), valid for x > 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = np.exp(-(x**2) / 2.0) / (x * _SQRT_2PI)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_arm(instance: BanditInstance, arm: int, rng: np.random.Generator) -> float:
     """One reward draw from a single arm."""
-    idx = _check_arm(instance, arm)
-    mu = instance.means[idx]
+    if not 1 <= arm <= instance.K:
+        raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
+    mu = instance.means[arm - 1]
     if isinstance(instance.family, Gaussian):
         return float(rng.normal(mu, np.sqrt(instance.family.sigma2)))
     return float(rng.random() < mu)

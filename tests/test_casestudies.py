@@ -83,8 +83,8 @@ def test_jammer_env_means_and_gap():
     prof = env.true_gap_profile()
     assert prof.gaps == pytest.approx((1.0,) * 8)
     assert env.dummy_mean() == pytest.approx(-1.0)
-    assert env.pull_arm_sum(5, 4, rng()) == pytest.approx(4.0)
-    assert env.pull_arm_sum(2, 4, rng()) == 0.0
+    assert env.pull_arms_sum([5], 4, rng())[0] == pytest.approx(4.0)
+    assert env.pull_arms_sum([2], 4, rng())[0] == 0.0
     assert env.pull_group_sum({4, 5, 6, 7}, 2, rng()) == pytest.approx(0.5)
     assert env.pull_group_sum({1, 2}, 3, rng()) == 0.0
 
@@ -93,7 +93,7 @@ def test_jammer_group_probe_keeps_receiver_noise_floor():
     # the subset mean shrinks to 1/|S| but the noise floor stays put
     env = JammerEnv(JammerScenario(K=8, j_star=5, noise_var=0.5))
     r = rng(9)
-    arm = np.array([env.pull_arm_sum(5, 1, r) for _ in range(20_000)])
+    arm = np.array([env.pull_arms_sum([5], 1, r)[0] for _ in range(20_000)])
     grp = np.array([env.pull_group_sum({4, 5, 6, 7}, 1, r) for _ in range(20_000)])
     assert arm.mean() == pytest.approx(1.0, abs=0.02)
     assert grp.mean() == pytest.approx(0.25, abs=0.02)

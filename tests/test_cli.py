@@ -13,8 +13,8 @@ import pytest
 
 from bestarm import BanditInstance, Gaussian, RESULT_COLUMNS
 from bestarm.cli import main
-from bestarm.core import instance_to_json
 from bestarm.hardness import bound_ue
+from oracles import instance_to_json
 
 
 def run_cli(capsys, argv):
@@ -363,6 +363,28 @@ def test_case_jammer_zero_trials_exits_2(capsys, tmp_path):
         capsys, ["case-jammer", "--trials", "0", "--out", str(out_path)]
     )
     assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["case-jammer", "--seed", "-1", "--trials", "3"],
+        ["case-radar", "--seed", "-1", "--trials", "3"],
+        ["group-mean-dist", "--seed", "-1"],
+        ["case-jammer", "--T", "-5", "--trials", "3"],
+        ["case-radar", "--plays", "-300", "--trials", "3"],
+        ["case-radar", "--plays", "0.4", "--trials", "3"],  # rounds to T = 0
+        ["group-mean-dist", "--bins", "0"],
+        ["group-mean-dist", "--delta-min", "nan"],
+        ["group-mean-dist", "--mu-star", "inf"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_seed_budget_or_histogram_exits_2(capsys, tmp_path, argv):
+    out_path = tmp_path / "out.csv"
+    status, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+    assert "Traceback" not in err
 
 
 def test_bounds_huge_grid_exits_2(capsys, tmp_path):

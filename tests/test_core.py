@@ -25,12 +25,10 @@ from bestarm import (
 from bestarm.core import (
     RngStream,
     dummy_mean,
-    instance_to_json,
-    sample_arm_sum,
     sample_arms_sum,
     sample_group_sum,
 )
-from oracles import sample_arm, sample_group
+from oracles import instance_to_json, sample_arm, sample_group
 
 
 def rng(seed=0):
@@ -195,7 +193,7 @@ def test_sample_arm_sum_moments_gaussian():
     inst = BanditInstance(means=(0.5,), family=Gaussian(0.2))
     n = 25
     r = rng(3)
-    draws = np.array([sample_arm_sum(inst, 1, n, r) for _ in range(50_000)])
+    draws = np.array([sample_arms_sum(inst, [1], n, r)[0] for _ in range(50_000)])
     assert draws.mean() == pytest.approx(n * 0.5, abs=0.05)
     assert draws.var() == pytest.approx(n * 0.2, rel=0.05)
 
@@ -204,7 +202,7 @@ def test_sample_arm_sum_bernoulli_is_binomial_like():
     inst = BanditInstance(means=(0.3,), family=Bernoulli())
     n = 40
     r = rng(4)
-    draws = np.array([sample_arm_sum(inst, 1, n, r) for _ in range(20_000)])
+    draws = np.array([sample_arms_sum(inst, [1], n, r)[0] for _ in range(20_000)])
     assert np.all(draws == np.round(draws))
     assert np.all((draws >= 0) & (draws <= n))
     assert draws.mean() == pytest.approx(n * 0.3, rel=0.02)
@@ -213,7 +211,7 @@ def test_sample_arm_sum_bernoulli_is_binomial_like():
 
 def test_sample_arm_sum_zero_pulls():
     inst = BanditInstance(means=(0.5,), family=Gaussian(1.0))
-    assert sample_arm_sum(inst, 1, 0, rng()) == 0.0
+    assert sample_arms_sum(inst, [1], 0, rng())[0] == 0.0
 
 
 def test_sample_arms_sum_zero_variance_exact():

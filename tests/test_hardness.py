@@ -28,9 +28,8 @@ from bestarm.hardness import (
     log_bound_sr,
     log_bound_ue,
     q_function,
-    q_lower,
-    q_upper,
 )
+from oracles import q_lower, q_upper
 
 
 def profile_from_gaps(sub_gaps, mu_star=1.0):
@@ -65,12 +64,6 @@ def test_hardness_single_gap_equalities_k1024():
     assert hp.H1 == pytest.approx(4096.0, rel=1e-12)
     assert 4 * 1024 * hp.H4 == pytest.approx(4096.0, rel=1e-12)
     assert hp.eta == pytest.approx(1.0, rel=1e-12)
-
-
-def test_hardness_k_mismatch_rejected():
-    prof = single_gap_profile(4, 0.5)
-    with pytest.raises(InvalidK):
-        hardness(prof, K=8)
 
 
 def test_eta_absent_when_margin_negative():

@@ -48,11 +48,7 @@ def single_gap_env(K, delta, sigma2, mu_star=1.0):
 
 
 class CountingEnv:
-    """Forwarding wrapper that logs per-arm pull counts.
-
-    Exposes only the scalar pull methods, so policies exercise their
-    fallback path rather than the batched one.
-    """
+    """Forwarding wrapper that logs per-arm pull counts."""
 
     def __init__(self, env):
         self._env = env
@@ -61,7 +57,6 @@ class CountingEnv:
 
     K = property(lambda self: self._env.K)
     best_arm = property(lambda self: self._env.best_arm)
-    family_kind = property(lambda self: self._env.family_kind)
     sigma2 = property(lambda self: self._env.sigma2)
 
     def true_gap_profile(self):
@@ -70,9 +65,10 @@ class CountingEnv:
     def dummy_mean(self):
         return self._env.dummy_mean()
 
-    def pull_arm_sum(self, arm, n, r):
-        self.arm_pulls[arm] = self.arm_pulls.get(arm, 0) + n
-        return self._env.pull_arm_sum(arm, n, r)
+    def pull_arms_sum(self, arms, n, r):
+        for arm in arms:
+            self.arm_pulls[int(arm)] = self.arm_pulls.get(int(arm), 0) + n
+        return self._env.pull_arms_sum(arms, n, r)
 
     def pull_group_sum(self, members, n, r):
         self.group_pulls.append((tuple(members), n))
@@ -394,7 +390,6 @@ class ScriptedEnv:
 
     K = 6
     best_arm = 3
-    family_kind = "gaussian"
     sigma2 = 1.0
 
     def __init__(self, arm_means):
@@ -409,8 +404,8 @@ class ScriptedEnv:
     def dummy_mean(self):
         return -1.0
 
-    def pull_arm_sum(self, arm, n, r):
-        return n * self.arm_means[arm - 1]
+    def pull_arms_sum(self, arms, n, r):
+        return n * np.array([self.arm_means[a - 1] for a in arms], dtype=float)
 
     def pull_group_sum(self, members, n, r):
         members = set(members)
@@ -460,10 +455,8 @@ def test_run_policy_rejects_unknown_name():
 
 def test_bandit_env_views():
     g = gaussian_env((0.2, 0.9), 0.7)
-    assert g.family_kind == "gaussian"
     assert g.sigma2 == 0.7
     assert g.best_arm == 2
     b = BanditEnv(BanditInstance(means=(0.2, 0.9), family=Bernoulli()))
-    assert b.family_kind == "bounded"
     assert b.sigma2 is None
     assert b.true_gap_profile().delta_min == pytest.approx(0.7)

@@ -34,7 +34,7 @@ from bestarm.casestudies import (
     signal_sample_counts,
 )
 from bestarm.core import sample_arms_sum, sample_group_sum
-from bestarm.policies import _expit, _pull_each, _real_members, _sr_logbar, run_sr
+from bestarm.policies import _expit, _real_members, _sr_logbar, run_sr
 from oracles import sample_group
 
 
@@ -52,7 +52,7 @@ def reference_run_sr(env, T, rng):
         inc = n_k - n_prev
         n_prev = n_k
         if inc > 0:
-            fresh = _pull_each(env, alive, inc, rng)
+            fresh = env.pull_arms_sum(alive, inc, rng)
             for arm, s in zip(alive, fresh):
                 sums[arm - 1] += s
                 counts[arm - 1] += inc
@@ -210,7 +210,7 @@ def test_cli_import_loads_no_scipy(cli_env):
 
 
 class SequenceEnv:
-    """A custom environment with only the protocol's scalar and group pulls.
+    """A custom environment that implements the pull protocol itself.
 
     It reads `members` as a plain sequence and records what it was given.
     """
@@ -219,7 +219,6 @@ class SequenceEnv:
         self.inner = BanditEnv(instance)
         self.K = self.inner.K
         self.best_arm = self.inner.best_arm
-        self.family_kind = self.inner.family_kind
         self.sigma2 = self.inner.sigma2
         self.seen = []
 
@@ -229,9 +228,8 @@ class SequenceEnv:
     def dummy_mean(self):
         return self.inner.dummy_mean()
 
-    def pull_arm_sum(self, arm, n, rng):
-        assert type(arm) is int
-        return self.inner.pull_arm_sum(arm, n, rng)
+    def pull_arms_sum(self, arms, n, rng):
+        return self.inner.pull_arms_sum(arms, n, rng)
 
     def pull_group_sum(self, members, n, rng):
         self.seen.append(members)
