@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BanditInstance, Gaussian
+from .core import MAX_K, BanditInstance, Gaussian, _member_indices
 from .errors import (
     CsvFormatError,
     EmptySubset,
@@ -59,8 +59,8 @@ class JammerScenario:
     noise_var: float
 
     def __post_init__(self) -> None:
-        if self.K < 2:
-            raise InvalidK(f"need K >= 2 waveforms, got {self.K}")
+        if not 2 <= self.K <= MAX_K:
+            raise InvalidK(f"need 2 <= K <= {MAX_K} waveforms, got {self.K}")
         if not 1 <= self.j_star <= self.K:
             raise IndexOutOfRange(f"j_star {self.j_star} not in 1..{self.K}")
         if not 0 <= self.noise_var < math.inf:
@@ -91,6 +91,7 @@ class JammerEnv(BanditEnv):
         group = set(members)
         if not group:
             raise EmptySubset("cannot probe an empty waveform subset")
+        _member_indices(self.instance, group)  # raises IndexOutOfRange
         mean = (1.0 / len(group)) if self.scenario.j_star in group else 0.0
         nv = self.scenario.noise_var
         if nv == 0.0:
@@ -165,6 +166,21 @@ class RadarScenario:
     @property
     def N(self) -> int:
         return int(round(self.dwell_T * self.fs))
+
+
+def seeded_radar_scenario(
+    master_seed: int,
+    noise_var: float = DEFAULT_RADAR_NOISE_VAR,
+    active_channel: int | None = None,
+) -> RadarScenario:
+    """The default 8-channel scenario of a sweep.
+
+    Unless given, the active channel is drawn from master_seed, so a seed
+    fixes the same channel whatever the noise variance.
+    """
+    if active_channel is None:
+        active_channel = 1 + int(np.random.default_rng([master_seed, 17]).integers(8))
+    return RadarScenario(noise_var=noise_var, active_channel=active_channel)
 
 
 def _slots_that_can_start(scenario: RadarScenario) -> int:
@@ -375,8 +391,7 @@ def run_radar_experiment(
     is given, ingested I/Q windows replace synthesis for the active channel.
     """
     if scenario is None:
-        active = 1 + int(np.random.default_rng([master_seed, 17]).integers(8))
-        scenario = RadarScenario(active_channel=active)
+        scenario = seeded_radar_scenario(master_seed)
     iq = load_iq_csv(csv_path) if csv_path else None
     env = RadarEnv(scenario, iq=iq)
     label = f"radar-K{scenario.K}" + ("-iq" if iq is not None else "")
@@ -384,6 +399,4 @@ def run_radar_experiment(
         "RE-oracle": ReOptions(alpha=0.0, prior_mode="oracle"),
         "RE-plugin": ReOptions(alpha=0.1, prior_mode="plugin"),
     }
-    return run_cells(
-        env, algorithms, plays, trials, master_seed, label, re_options_by_name=opts
-    )
+    return run_cells(env, algorithms, plays, trials, master_seed, label, opts)

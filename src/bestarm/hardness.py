@@ -68,13 +68,9 @@ def hardness(profile: GapProfile) -> HardnessProfile:
 
 
 def q_function(x):
-    """Standard Gaussian upper-tail probability Q(x), via erfc."""
-    # Imported here: scipy.special is most of the package's import time, and
-    # math.erfc is neither vectorised nor equal to it in the last place.
-    from scipy.special import erfc
-
+    """Standard Gaussian upper-tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x / math.sqrt(2.0))
+    out = 0.5 * np.vectorize(math.erfc, otypes=[float])(x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,6 +8,7 @@ from scipy import stats
 
 from bestarm import (
     CsvFormatError,
+    DuplicateBestArm,
     EmptySubset,
     IndexOutOfRange,
     InvalidK,
@@ -17,13 +18,16 @@ from bestarm import (
     run_radar_experiment,
 )
 from bestarm.casestudies import (
+    DEFAULT_RADAR_NOISE_VAR,
     JammerEnv,
     JammerScenario,
     RadarEnv,
     load_iq_csv,
     mean_signal_energy,
+    seeded_radar_scenario,
     signal_sample_counts,
 )
+from bestarm.core import MAX_K
 from oracles import (
     PulseParams,
     draw_pulse_params,
@@ -69,6 +73,8 @@ def test_jammer_reward_noisy_mean():
 def test_jammer_scenario_validation():
     with pytest.raises(InvalidK):
         JammerScenario(K=1, j_star=1, noise_var=0.0)
+    with pytest.raises(InvalidK):
+        JammerScenario(K=MAX_K + 1, j_star=1, noise_var=0.0)
     with pytest.raises(IndexOutOfRange):
         JammerScenario(K=8, j_star=0, noise_var=0.0)
     with pytest.raises(IndexOutOfRange):
@@ -87,6 +93,12 @@ def test_jammer_env_means_and_gap():
     assert env.pull_arms_sum([2], 4, rng())[0] == 0.0
     assert env.pull_group_sum({4, 5, 6, 7}, 2, rng()) == pytest.approx(0.5)
     assert env.pull_group_sum({1, 2}, 3, rng()) == 0.0
+    for members in ({0, 1}, {8, 9}):
+        with pytest.raises(IndexOutOfRange):
+            env.pull_group_sum(members, 3, rng())
+    with pytest.raises(EmptySubset):
+        env.pull_group_sum(set(), 3, rng())
+    assert env.pull_group_sum({0, 99}, 0, rng()) == 0.0
 
 
 def test_jammer_group_probe_keeps_receiver_noise_floor():
@@ -391,11 +403,34 @@ def test_run_radar_experiment_smoke():
 
 
 def test_run_radar_experiment_iq_label(tmp_path):
+    # I and Q scaled by 5: window energy about 25 * 2N = 4 800, above the
+    # idle channels' N * 21 = 2 016, so the capture's channel is the best arm
     path = tmp_path / "capture.csv"
     r = rng(3)
-    write_iq(path, [(k, r.normal(), r.normal()) for k in range(200)])
+    write_iq(path, [(k, 5 * r.normal(), 5 * r.normal()) for k in range(200)])
     results = run_radar_experiment(
         RadarScenario(active_channel=2), plays=(300,), algorithms=("SH",),
         trials=5, csv_path=path,
     )
     assert results[0].instance_id == "radar-K8-iq"
+
+
+def test_run_radar_experiment_weak_capture_raises(tmp_path):
+    # unit-variance noise has window energy about 2N, below the idle
+    # channels' N * 21, so the idle channels tie for the best arm
+    path = tmp_path / "capture.csv"
+    r = rng(3)
+    write_iq(path, [(k, r.normal(), r.normal()) for k in range(200)])
+    with pytest.raises(DuplicateBestArm):
+        run_radar_experiment(
+            RadarScenario(active_channel=2), plays=(300,), algorithms=("SH",),
+            trials=5, csv_path=path,
+        )
+
+
+def test_seeded_radar_scenario_draws_channel_from_seed_only():
+    drawn = seeded_radar_scenario(3)
+    assert drawn.active_channel == 2
+    assert drawn.noise_var == DEFAULT_RADAR_NOISE_VAR
+    assert seeded_radar_scenario(3, noise_var=5.0).active_channel == 2
+    assert seeded_radar_scenario(3, active_channel=7).active_channel == 7

@@ -250,9 +250,25 @@ def assert_one_error(status, out, err, code, out_path, exit_code=1):
     assert not out_path.exists()
 
 
-def test_case_radar_weak_capture_fails(capsys, tmp_path):
+def test_case_radar_noise_var_keeps_seed_drawn_channel(capsys, tmp_path):
+    # seed 3 draws channel 2; naming the default noise variance keeps it
+    argv = ["case-radar", "--plays", "300", "--trials", "3", "--seed", "3"]
+    outputs = []
+    for k, extra in enumerate(([], ["--noise-var", "21"])):
+        out_path = tmp_path / f"radar{k}.csv"
+        status, out, err = run_cli(capsys, argv + extra + ["--out", str(out_path)])
+        assert status == 0 and err == ""
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_case_radar_weak_capture_fails(capsys, tmp_path, monkeypatch):
     # unit-variance noise has window energy 2N, below the idle channels'
     # N * 21, so the idle channels tie for the best arm
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("bestarm.experiments.run_policy", no_trial)
     capture = tmp_path / "weak.csv"
     r = np.random.default_rng(3)
     capture.write_text(
@@ -385,6 +401,30 @@ def test_bad_seed_budget_or_histogram_exits_2(capsys, tmp_path, argv):
     status, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
     assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["groups", "--K", "65537"], ["case-jammer", "--K", "65537", "--trials", "1"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_k_above_max_k_fails(capsys, tmp_path, argv):
+    out_path = tmp_path / "out.csv"
+    status, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert_one_error(status, out, err, "InvalidK", out_path)
+
+
+def test_simulate_k_above_max_k_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    instance = {**SIM_CONFIG["instance"], "K": 65537}
+    cfg.write_text(json.dumps(
+        {**SIM_CONFIG, "instance": instance, "budgets": [8], "trials": 1}
+    ))
+    out_path = tmp_path / "result.csv"
+    status, out, err = run_cli(
+        capsys, ["simulate", "--config", str(cfg), "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
 
 
 def test_bounds_huge_grid_exits_2(capsys, tmp_path):

@@ -26,8 +26,14 @@ from bestarm import (
     run_experiment,
     theoretical_bound,
 )
-from bestarm import experiments
-from bestarm.experiments import generate_instance, result_rows, wilson_interval
+from bestarm import BanditEnv, ReOptions, experiments
+from bestarm.core import MAX_K
+from bestarm.experiments import (
+    generate_instance,
+    result_rows,
+    run_cells,
+    wilson_interval,
+)
 from bestarm.hardness import bound_sh, bound_sr, bound_ue
 
 
@@ -147,6 +153,7 @@ def test_generate_rejects_bad_specs():
     bad = [
         InstanceSpec(K=4, generator="nope", family=fam),
         InstanceSpec(K=1, generator="single_gap", family=fam),
+        InstanceSpec(K=MAX_K + 1, generator="single_gap", family=fam),
         InstanceSpec(K=4, generator="arithmetic", family=fam,
                      delta_min=0.5, delta_max=0.1),
         InstanceSpec(K=4, generator="single_gap", family=fam,
@@ -387,6 +394,34 @@ def test_run_experiment_tied_best_arm_runs_no_trial(monkeypatch):
     )
     with pytest.raises(DuplicateBestArm):
         run_experiment(cfg)
+
+
+def test_run_cells_tied_best_arm_runs_no_trial(monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_policy", no_trial)
+    env = BanditEnv(BanditInstance(means=(0.5, 1.0, 1.0), family=Gaussian(0.1)))
+    with pytest.raises(DuplicateBestArm):
+        run_cells(env, ("SH", "RE"), (64,), 5, 0, "tied")
+
+
+def test_run_cells_options_by_label(monkeypatch):
+    seen = []
+    real = experiments.run_policy
+
+    def record(name, env, T, rng, re_options):
+        seen.append((name, re_options))
+        return real(name, env, T, rng, re_options)
+
+    plugin = ReOptions(alpha=0.2, prior_mode="plugin")
+    monkeypatch.setattr(experiments, "run_policy", record)
+    env = BanditEnv(BanditInstance(means=(1.0, 0.5, 0.5, 0.5), family=Gaussian(0.1)))
+    cells = run_cells(
+        env, ("RE-plugin", "RE", "SH"), (64,), 1, 0, "opts", {"RE-plugin": plugin}
+    )
+    assert [c.algorithm for c in cells] == ["RE-plugin", "RE", "SH"]
+    assert seen == [("RE", plugin), ("RE", ReOptions()), ("SH", ReOptions())]
 
 
 # ------------------------------------------------------- group mean histogram

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bestarm import DecodedDummyArm, IndexOutOfRange, InvalidK, construct_groups
+from bestarm.core import MAX_K
 from bestarm.grouping import decode_best_arm, detection_pattern
 
 
@@ -35,7 +36,7 @@ def test_groups_k6_padded():
 
 
 def test_groups_invalid_k():
-    for k in (1, 0, -4):
+    for k in (1, 0, -4, MAX_K + 1, 10**8):
         with pytest.raises(InvalidK):
             construct_groups(k)
 

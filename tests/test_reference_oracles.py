@@ -201,12 +201,23 @@ def test_expit_matches_scipy_bit_for_bit():
 
 
 def test_cli_import_loads_no_scipy(cli_env):
-    code = "import sys, bestarm.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    # after the import check, a None entry makes any scipy import fail
+    code = (
+        "import sys, bestarm.cli\n"
+        "print(any(m.startswith('scipy') for m in sys.modules))\n"
+        "sys.modules['scipy'] = None\n"
+        "from bestarm.hardness import bound_exploration_failure, q_function\n"
+        "print(q_function(2.0))\n"
+        "print(bound_exploration_failure(8, 400, 0.1, 1.0))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=cli_env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    loaded, q, bound = out.stdout.split()
+    assert loaded == "False"
+    assert float(q) == pytest.approx(0.5 * math.erfc(2.0 / math.sqrt(2.0)), rel=1e-12)
+    assert float(bound) == pytest.approx(16 * float(q), rel=1e-12)
 
 
 class SequenceEnv:
