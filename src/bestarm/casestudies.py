@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_K, BanditInstance, Gaussian, _member_indices
+from .core import (
+    MAX_K,
+    BanditInstance,
+    Gaussian,
+    _arm_array,
+    _check_arms,
+    _member_indices,
+)
 from .errors import (
     CsvFormatError,
     EmptySubset,
@@ -41,7 +48,9 @@ DEFAULT_RADAR_PLAYS = (1200, 3000, 6000)
 # Fraction of a microsecond used to absorb float error when a pulse edge
 # lands exactly on a sample instant.
 _EDGE_EPS = 1e-6
-# Pulse-train draws behind the fixed-seed signal-energy oracle.
+# Pulse-train draws behind the fixed-seed signal-energy oracle. Radar pulls
+# draw their plays in chunks of at most this many, so a pull never holds
+# more pulse-train data than the oracle does.
 _SIGNAL_DRAWS = 200_000
 # Plays per block when counting on-pulse samples. It bounds the (plays x
 # slots) arrays: unblocked, they raised the peak RSS of a process that
@@ -85,9 +94,9 @@ class JammerEnv(BanditEnv):
         family = Gaussian(scenario.noise_var)
         super().__init__(BanditInstance(means=means, family=family))
 
-    def pull_group_sum(self, members, n: int, rng) -> float:
+    def pull_group_sum(self, members, n: int, rng, trials: int = 1) -> np.ndarray:
         if n <= 0:
-            return 0.0
+            return np.zeros(trials)
         group = set(members)
         if not group:
             raise EmptySubset("cannot probe an empty waveform subset")
@@ -95,8 +104,8 @@ class JammerEnv(BanditEnv):
         mean = (1.0 / len(group)) if self.scenario.j_star in group else 0.0
         nv = self.scenario.noise_var
         if nv == 0.0:
-            return n * mean
-        return n * mean + rng.normal(0.0, math.sqrt(n * nv))
+            return np.full(trials, n * mean)
+        return n * mean + rng.normal(0.0, math.sqrt(n * nv), size=trials)
 
 
 def run_jammer_experiment(
@@ -114,6 +123,8 @@ def run_jammer_experiment(
     random numbers), which sharpens the estimated crossing between the
     grouped policy and the baselines.
     """
+    if not 2 <= K <= MAX_K:
+        raise InvalidK(f"need 2 <= K <= {MAX_K} waveforms, got {K}")
     if j_star is None:
         j_star = 1 + int(np.random.default_rng([master_seed, 13]).integers(K))
     results = []
@@ -285,6 +296,25 @@ def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(i_vals), np.asarray(q_vals)
 
 
+def _row_sums(rows: int, n: int, draw) -> np.ndarray:
+    """Sums of n consecutive per-play values for each of `rows` rows.
+
+    draw(k) returns the next k per-play values. All rows * n plays are
+    drawn in order, in chunks of at most _SIGNAL_DRAWS plays, so a pull of
+    any size holds a bounded number of them at once.
+    """
+    out = np.zeros(rows)
+    total = rows * n
+    for a in range(0, total, _SIGNAL_DRAWS):
+        b = min(total, a + _SIGNAL_DRAWS)
+        first = a // n
+        # where each row that meets [a, b) starts inside the chunk
+        starts = np.arange(first * n, b, n) - a
+        starts[0] = 0
+        out[first : first + len(starts)] += np.add.reduceat(draw(b - a), starts)
+    return out
+
+
 class RadarEnv(BanditEnv):
     """Arms are channels, rewards are play energies.
 
@@ -299,10 +329,11 @@ class RadarEnv(BanditEnv):
     channel gives (noise_var/2) chi2(2Nn), and the active channel gives
     (noise_var/2) chi'2(2Nn, 2S/noise_var), where S sums the n plays'
     on-pulse counts. The idle members of a group add up to one
-    chi2(2Nn * idle members) draw. One play makes the same calls as a
-    per-play draw would. The instance's Gaussian family carries the energy
-    variance N * noise_var**2 of an idle play for the RE threshold; no pull
-    draws from it.
+    chi2(2Nn * idle members) draw. A pull of the active channel for a block
+    of trials counts the pulses of all its plays in one
+    signal_sample_counts call (chunked beyond _SIGNAL_DRAWS plays). The
+    instance's Gaussian family carries the energy variance N * noise_var**2
+    of an idle play for the RE threshold; no pull draws from it.
     """
 
     def __init__(self, scenario: RadarScenario, iq: tuple | None = None):
@@ -326,40 +357,51 @@ class RadarEnv(BanditEnv):
         means = [N * nv] * scenario.K
         means[scenario.active_channel - 1] = active_mean
         super().__init__(
-            BanditInstance(means=tuple(means), family=Gaussian(N * nv**2))
+            BanditInstance(means=tuple(means), family=Gaussian(N * nv * nv))
         )
 
-    def pull_arm_sum(self, arm: int, n: int, rng) -> float:
-        if n <= 0:
-            return 0.0
-        if not 1 <= arm <= self.K:
-            raise IndexOutOfRange(f"arm {arm} not in 1..{self.K}")
+    def _active_sums(self, rows: int, n: int, rng) -> np.ndarray:
+        """Energy of n plays of the active channel, for each of `rows` rows."""
         scenario = self.scenario
-        N = scenario.N
-        active = arm == scenario.active_channel
-        if active and self._prefix is not None:
-            ofs = rng.integers(0, self._n_windows, size=n)
-            return float((self._prefix[ofs + N] - self._prefix[ofs]).sum())
-        nv = scenario.noise_var
-        if active:
-            signal = signal_sample_counts(scenario, n, rng).sum()
-            if nv == 0.0:
-                return float(signal)
-            chi = rng.noncentral_chisquare(2 * N * n, 2.0 * signal / nv)
-        else:
-            if nv == 0.0:
-                return 0.0
-            chi = rng.chisquare(2 * N * n)
-        return float((nv / 2.0) * chi)
+        N, nv = scenario.N, scenario.noise_var
+        if self._prefix is not None:
+            prefix = self._prefix
+
+            def windows(k):
+                ofs = rng.integers(0, self._n_windows, size=k)
+                return prefix[ofs + N] - prefix[ofs]
+
+            return _row_sums(rows, n, windows)
+        signal = _row_sums(rows, n, lambda k: signal_sample_counts(scenario, k, rng))
+        if nv == 0.0:
+            return signal
+        return (nv / 2.0) * rng.noncentral_chisquare(2 * N * n, 2.0 * signal / nv)
+
+    def pull_arm_sum(self, arm: int, n: int, rng) -> float:
+        """Energy of n plays of one channel."""
+        return float(self.pull_arms_sum(np.array([arm]), n, rng)[0])
 
     def pull_arms_sum(self, arms, n: int, rng) -> np.ndarray:
-        """One pull_arm_sum per arm, in order; the inherited Gaussian batch
-        would draw from the wrong law."""
-        return np.array([self.pull_arm_sum(int(a), n, rng) for a in arms], dtype=float)
-
-    def pull_group_sum(self, members, n: int, rng) -> float:
+        """Idle channels first, in order, then every active entry at once;
+        the inherited Gaussian batch would draw from the wrong law."""
+        arms = _arm_array(arms)
+        _check_arms(self.instance, arms)
+        out = np.zeros(arms.shape)
         if n <= 0:
-            return 0.0
+            return out
+        active = arms == self.scenario.active_channel
+        nv = self.scenario.noise_var
+        idle = arms.size - int(np.count_nonzero(active))
+        if idle and nv > 0.0:
+            chi = rng.chisquare(2 * self.scenario.N * n, size=idle)
+            out[~active] = (nv / 2.0) * chi
+        if idle < arms.size:
+            out[active] = self._active_sums(arms.size - idle, n, rng)
+        return out
+
+    def pull_group_sum(self, members, n: int, rng, trials: int = 1) -> np.ndarray:
+        if n <= 0:
+            return np.zeros(trials)
         group = sorted(set(members))
         if not group:
             raise EmptySubset("cannot sense an empty channel subset")
@@ -368,12 +410,14 @@ class RadarEnv(BanditEnv):
                 raise IndexOutOfRange(f"arm {arm} not in 1..{self.K}")
         scenario = self.scenario
         active = scenario.active_channel
-        total = self.pull_arm_sum(active, n, rng) if active in group else 0.0
+        total = np.zeros(trials)
+        if active in group:
+            total += self._active_sums(trials, n, rng)
         idle = len(group) - (active in group)
         if idle and scenario.noise_var > 0.0:
-            chi = rng.chisquare(2 * scenario.N * n * idle)
+            chi = rng.chisquare(2 * scenario.N * n * idle, size=trials)
             total += (scenario.noise_var / 2.0) * chi
-        return float(total / len(group))
+        return total / len(group)
 
 
 def run_radar_experiment(

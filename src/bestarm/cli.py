@@ -27,6 +27,7 @@ from .experiments import (
     experiment_config_from_json,
     group_mean_distribution,
     group_mean_distribution_rows,
+    parse_budgets,
     parse_grid,
     result_rows,
     run_experiment,
@@ -80,7 +81,7 @@ def _cmd_hardness(args):
 
 def _cmd_bounds(args):
     instance = instance_from_json(_read_text(args.instance, "instance"))
-    budgets = [int(round(v)) for v in parse_grid(args.budgets)]
+    budgets = parse_budgets(args.budgets)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for algorithm in algorithms:
         if algorithm not in ("UE", "SR", "SH") and not algorithm.startswith("RE"):
@@ -115,10 +116,9 @@ def _cmd_case_jammer(args):
 
 
 def _cmd_case_radar(args):
-    plays = tuple(int(round(v)) for v in parse_grid(args.plays))
     results = run_radar_experiment(
         scenario=seeded_radar_scenario(args.seed, args.noise_var, args.active_channel),
-        plays=plays,
+        plays=parse_budgets(args.plays),
         trials=args.trials,
         csv_path=args.iq,
         master_seed=args.seed,
@@ -148,8 +148,16 @@ def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 2, as argparse's do, with
+    one JSON ConfigParse object on stderr instead of the usage text."""
+
+    def error(self, message):
+        sys.exit(_fail(ConfigParse(message), 2))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bestarm",
         description="Fixed-budget best-arm identification toolkit",
     )

@@ -126,14 +126,18 @@ class GapProfile:
 def gap_profile(instance: BanditInstance) -> GapProfile:
     """Sub-optimality gaps of an instance with a unique best arm.
 
-    Raises InvalidK for fewer than two arms, which have no gap, and
-    DuplicateBestArm when the maximal mean is attained twice.
+    Raises InvalidK for fewer than two arms, which have no gap,
+    DuplicateBestArm when the maximal mean is attained twice, and
+    SupportViolation for a gap whose square overflows.
     """
     if instance.K < 2:
         raise InvalidK(f"gaps need K >= 2 arms, got {instance.K}")
     instance.best_arm  # raises DuplicateBestArm on ties
     mu = np.sort(instance._mean_array)[::-1]
-    sub_gaps = mu[0] - mu[1:]  # Delta_a for a != a*, ascending after sort
+    with np.errstate(over="ignore"):
+        sub_gaps = mu[0] - mu[1:]  # Delta_a for a != a*, ascending
+        if not np.isfinite(sub_gaps[-1] ** 2):  # the hardness terms square it
+            raise SupportViolation("gaps between the means must be below 1e154")
     sub_gaps = np.sort(sub_gaps)
     gaps = np.concatenate(([sub_gaps[0]], sub_gaps))  # best arm duplicates the min
     return GapProfile(
@@ -148,9 +152,10 @@ def gap_profile(instance: BanditInstance) -> GapProfile:
 class RngStream:
     """Counter-style RNG handle: (master_seed, stream_id) fixes the stream.
 
-    Streams with equal fields produce bit-identical draws, so a trial's
-    draws depend only on its seed and stream id, not on the trials run
-    before it.
+    Streams with equal fields produce bit-identical draws. A sweep gives
+    each block of trials its own stream, keyed by the block's first trial
+    (see experiments.run_cells), so a block's draws depend only on its
+    seed and stream id, not on the blocks run before it.
     """
 
     master_seed: int
@@ -161,7 +166,8 @@ class RngStream:
 
 
 def _arm_array(arms) -> np.ndarray:
-    """Arms as an int64 array; an int64 array passes through uncopied."""
+    """Arms as an int64 array of any shape; an int64 array passes through
+    uncopied and any other iterable becomes a 1-D array."""
     if isinstance(arms, np.ndarray):
         return arms.astype(np.int64, copy=False)
     try:
@@ -174,7 +180,7 @@ def _check_arms(instance: BanditInstance, arms: np.ndarray) -> np.ndarray:
     """0-based indices of an int64 array of arms, range-checked at once."""
     bad = (arms < 1) | (arms > instance.K)
     if bad.any():
-        arm = int(arms[np.argmax(bad)])
+        arm = int(arms.flat[np.argmax(bad)])
         raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
     return arms - 1
 
@@ -196,41 +202,50 @@ def _member_indices(instance: BanditInstance, members) -> np.ndarray:
 def sample_arms_sum(
     instance: BanditInstance, arms, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vector of n-pull reward sums, one independent entry per arm in `arms`.
+    """n-pull reward sums, one independent entry per entry of `arms`.
 
-    Each entry is drawn from its sufficient statistic, with the law of n
-    summed single draws: the Gaussian sum is N(n*mu, n*sigma2) and the
-    Bernoulli sum is Binomial(n, mu). All arms share one numpy call.
+    `arms` may have any shape, such as (trials, arms) for a block of
+    trials; the sums have the same shape. Each entry is drawn from its
+    sufficient statistic, with the law of n summed single draws: the
+    Gaussian sum is N(n*mu, n*sigma2) and the Bernoulli sum is
+    Binomial(n, mu). All entries share one numpy call, filled in row-major
+    order.
     """
     idx = _check_arms(instance, _arm_array(arms))
     if n <= 0:
-        return np.zeros(len(idx))
+        return np.zeros(idx.shape)
     mu = instance._mean_array[idx]
     if isinstance(instance.family, Gaussian):
         sums = n * mu
         if instance.family.sigma2 > 0.0:
             sums = sums + rng.normal(
-                0.0, np.sqrt(n * instance.family.sigma2), size=len(idx)
+                0.0, np.sqrt(n * instance.family.sigma2), size=idx.shape
             )
         return np.asarray(sums, dtype=float)
     return rng.binomial(n, mu).astype(float)
 
 
 def sample_group_sum(
-    instance: BanditInstance, members, n: int, rng: np.random.Generator
-) -> float:
-    """Sum over n pulls of the group-average reward, via sufficient stats."""
+    instance: BanditInstance,
+    members,
+    n: int,
+    rng: np.random.Generator,
+    trials: int = 1,
+) -> np.ndarray:
+    """Sums over n pulls of the group-average reward, one per trial, via
+    sufficient statistics."""
     idx = _member_indices(instance, members)
     if n <= 0:
-        return 0.0
+        return np.zeros(trials)
     mu = instance._mean_array[idx]
     g = len(idx)
     if isinstance(instance.family, Gaussian):
         group_mu = float(mu.mean())
         var = instance.family.sigma2 / g
-        return float(rng.normal(n * group_mu, np.sqrt(n * var)))
-    counts = rng.binomial(n, mu)  # per-member success counts over the n pulls
-    return float(counts.sum()) / g
+        return rng.normal(n * group_mu, np.sqrt(n * var), size=trials)
+    # per-member success counts over the n pulls, one row per trial
+    counts = rng.binomial(n, mu, size=(trials, g))
+    return counts.sum(axis=1) / g
 
 
 def dummy_mean(instance: BanditInstance) -> float:

@@ -2,9 +2,9 @@
 
 Instance generators for the four gap families, error-probability estimation
 with Wilson confidence intervals, budget sweeps, theoretical bounds per
-cell, and the group-mean distribution study. Each trial draws from its own
-stream, fixed by (master_seed, stream_id), and trials run one after another
-on the calling thread.
+cell, and the group-mean distribution study. A cell runs its trials in
+blocks on the calling thread; each block draws from its own stream, fixed
+by (master_seed, stream_id).
 """
 
 from __future__ import annotations
@@ -40,9 +40,19 @@ from .hardness import (
 )
 from .policies import BanditEnv, Environment, ReOptions, run_policy
 
-# Most points parse_grid returns: far more budgets or noise levels than a
-# sweep can run, and few enough to hold in memory.
+# Most points parse_grid returns, and most histogram bins of
+# group_mean_distribution: far more than a sweep can run or a plot can
+# show, and few enough to hold in memory.
 MAX_GRID_POINTS = 100_000
+# Largest budget a sweep accepts. Binomial pull counts must fit in a C
+# long, and no sweep runs anywhere near 2**32 plays per trial.
+MAX_BUDGET = 2**32
+# Most draws group_mean_distribution takes; its group means are two arrays
+# of this many floats.
+MAX_SAMPLES = 10**7
+# Gap draws per block of group_mean_distribution: (rows, K/2) arrays of at
+# most this many floats keep its memory O(samples + block).
+_GAP_BLOCK = 2**20
 
 GENERATORS = (
     "arithmetic",
@@ -157,9 +167,16 @@ class CellResult:
 
 
 def check_budgets(budgets) -> None:
-    """Refuse a budget that buys no pull."""
-    if any(int(T) < 1 for T in budgets):
-        raise ConfigParse(f"budgets must be >= 1, got {list(budgets)}")
+    """Refuse a budget that buys no pull or exceeds MAX_BUDGET."""
+    if any(not 1 <= int(T) <= MAX_BUDGET for T in budgets):
+        raise ConfigParse(
+            f"budgets must lie in [1, {MAX_BUDGET}], got {list(budgets)}"
+        )
+
+
+def block_trials(K: int) -> int:
+    """Trials per block on K arms: at most 64, and B * K <= 2**16."""
+    return min(64, max(1, 2**16 // K))
 
 
 def run_cells(
@@ -173,18 +190,27 @@ def run_cells(
 ) -> list[CellResult]:
     """Every (algorithm, T) cell of a sweep over a fixed environment.
 
-    Before the first trial it refuses a budget below 1 (ConfigParse) and an
-    environment whose best arm is tied (DuplicateBestArm). `options` maps
-    an algorithm label to its ReOptions, ReOptions() by default; the
-    label's base name before the dash picks the policy, so "RE-oracle" and
-    "RE-plugin" run RE under two configurations. Trial j of the c-th cell
-    draws from RngStream(master_seed, c * trials + j). A policy error, such
-    as BudgetTooSmall, leaves its cell absent with the error code as
-    `failure`.
+    Before the first trial it refuses fewer than one trial or a budget
+    outside [1, MAX_BUDGET] (ConfigParse), and an environment whose best
+    arm is tied (DuplicateBestArm). `options` maps an algorithm label to its
+    ReOptions, ReOptions() by default; the label's base name before the
+    dash picks the policy, so "RE-oracle" and "RE-plugin" run RE under two
+    configurations.
+
+    A cell runs its trials in blocks of B = block_trials(K) trials, the
+    last block holding the remainder, with one run_policy call per block.
+    The block whose first trial is j0 draws from
+    RngStream(master_seed, c * trials + j0) for the c-th cell. Output thus
+    depends on the seed, the trial count and K, not on how the sweep is
+    scheduled. A policy error, such as BudgetTooSmall, leaves its cell
+    absent with the error code as `failure`.
     """
+    if trials < 1:
+        raise ConfigParse(f"need trials >= 1, got {trials}")
     check_budgets(budgets)
     env.best_arm  # raises DuplicateBestArm on ties
     options = options or {}
+    block = block_trials(env.K)
     results: list[CellResult] = []
     cells = itertools.product(algorithms, map(int, budgets))
     for cell_index, (algorithm, T) in enumerate(cells):
@@ -193,15 +219,17 @@ def run_cells(
         start = time.perf_counter()
         errors, failure = 0, None
         try:
-            for j in range(trials):
-                rng = RngStream(master_seed, cell_index * trials + j).generator()
-                errors += not run_policy(policy, env, T, rng, opts).correct
+            for j0 in range(0, trials, block):
+                rows = min(block, trials - j0)
+                rng = RngStream(master_seed, cell_index * trials + j0).generator()
+                run = run_policy(policy, env, T, rng, opts, rows)
+                errors += rows - int(np.count_nonzero(run.correct))
         except BestArmError as exc:
             errors, failure = None, exc.code
         elapsed = time.perf_counter() - start
         p_hat = lo = hi = None
         if failure is None:
-            lo, hi = wilson_interval(errors, trials)  # refuses trials < 1
+            lo, hi = wilson_interval(errors, trials)
             p_hat = errors / trials
         results.append(
             CellResult(
@@ -352,6 +380,17 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def parse_budgets(text: str) -> tuple[int, ...]:
+    """A budget grid (see parse_grid), each point rounded to the nearest
+    integer and checked by check_budgets."""
+    points = parse_grid(text)
+    if not all(map(math.isfinite, points)):
+        raise ConfigParse(f"budgets must be finite, got {text!r}")
+    budgets = tuple(int(round(v)) for v in points)
+    check_budgets(budgets)
+    return budgets
+
+
 _CONFIG_KEYS = {"instance", "budgets", "algorithms", "trials", "master_seed", "re_options"}
 _INSTANCE_KEYS = {
     "K",
@@ -406,7 +445,7 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
     if means is not None:
         try:
             means = tuple(float(x) for x in means)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigParse(f"bad means list: {exc}") from exc
     if "K" not in inst and means is None:
         raise ConfigParse("instance needs K (or explicit means)")
@@ -422,15 +461,15 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
             seed=int(inst.get("seed", 0)),
             label=inst.get("label"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParse(f"bad instance field: {exc}") from exc
     budgets_raw = payload["budgets"]
     if isinstance(budgets_raw, str):
-        budgets = tuple(int(round(v)) for v in parse_grid(budgets_raw))
+        budgets = parse_budgets(budgets_raw)
     elif isinstance(budgets_raw, list) and budgets_raw:
         try:
             budgets = tuple(int(v) for v in budgets_raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigParse(f"bad budget value: {exc}") from exc
     else:
         raise ConfigParse("budgets must be a nonempty list or a grid string")
@@ -453,12 +492,12 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
             alpha=float(re_raw.get("alpha", 0.0)),
             prior_mode=str(re_raw.get("prior_mode", "oracle")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParse(f"bad re_options: {exc}") from exc
     try:
         trials = int(payload.get("trials", 500))
         master_seed = int(payload.get("master_seed", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParse(f"bad trials or master_seed: {exc}") from exc
     if trials < 1:
         raise ConfigParse(f"need trials >= 1, got {trials}")
@@ -515,24 +554,36 @@ def group_mean_distribution(
     moments below admit closed forms; the mu_H variance carries an extra
     (1 - 2/K) factor relative to mu_L since one summand is deterministic.
     """
-    if K < 2 or K % 2:
-        raise ConfigParse(f"need even K >= 2, got {K}")
-    if samples < 1:
-        raise ConfigParse(f"need samples >= 1, got {samples}")
-    if bins < 1:
-        raise ConfigParse(f"need bins >= 1, got {bins}")
+    if not 2 <= K <= MAX_K or K % 2:
+        raise ConfigParse(f"need even K in [2, {MAX_K}], got {K}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ConfigParse(f"need samples in [1, {MAX_SAMPLES}], got {samples}")
+    if not 1 <= bins <= MAX_GRID_POINTS:
+        raise ConfigParse(f"need bins in [1, {MAX_GRID_POINTS}], got {bins}")
     if not all(map(math.isfinite, (delta_min, delta_max, mu_star))):
         raise ConfigParse("delta_min, delta_max and mu_star must be finite")
     if delta_min > delta_max:
         raise ConfigParse(f"delta_min {delta_min} > delta_max {delta_max}")
     rng = np.random.default_rng([master_seed, K, samples])
     half = K // 2
-    gaps_h = rng.uniform(delta_min, delta_max, size=(samples, half - 1))
-    gaps_l = rng.uniform(delta_min, delta_max, size=(samples, half))
-    mu_h = mu_star - gaps_h.sum(axis=1) / half
-    mu_l = mu_star - gaps_l.mean(axis=1)
-    counts_h, edges_h = np.histogram(mu_h, bins=bins)
-    counts_l, edges_l = np.histogram(mu_l, bins=bins)
+    rows = max(1, _GAP_BLOCK // half)
+    # A uniform draw fills its array in order, so drawing all gaps_h rows
+    # and then all gaps_l rows block by block makes the same values as two
+    # (samples, ...) draws, without holding them.
+    gap_sums = []
+    for width in (half - 1, half):
+        total = np.empty(samples)
+        for a in range(0, samples, rows):
+            gaps = rng.uniform(delta_min, delta_max, size=(min(rows, samples - a), width))
+            total[a : a + rows] = gaps.sum(axis=1)
+        gap_sums.append(total)
+    mu_h = mu_star - gap_sums[0] / half
+    mu_l = mu_star - gap_sums[1] / half
+    try:
+        counts_h, edges_h = np.histogram(mu_h, bins=bins)
+        counts_l, edges_l = np.histogram(mu_l, bins=bins)
+    except ValueError as exc:  # a huge mu_star leaves no room between bin edges
+        raise ConfigParse(f"cannot bin the group means: {exc}") from exc
     spread = delta_max - delta_min
     mid = (delta_min + delta_max) / 2.0
     th_var_l = spread**2 / (6.0 * K)

@@ -66,13 +66,13 @@ class CountingEnv:
         return self._env.dummy_mean()
 
     def pull_arms_sum(self, arms, n, r):
-        for arm in arms:
+        for arm in np.ravel(arms):
             self.arm_pulls[int(arm)] = self.arm_pulls.get(int(arm), 0) + n
         return self._env.pull_arms_sum(arms, n, r)
 
-    def pull_group_sum(self, members, n, r):
+    def pull_group_sum(self, members, n, r, trials=1):
         self.group_pulls.append((tuple(members), n))
-        return self._env.pull_group_sum(members, n, r)
+        return self._env.pull_group_sum(members, n, r, trials)
 
 
 # --------------------------------------------------------------------- UE
@@ -317,7 +317,7 @@ def test_re_flags_non_separable_instances():
     env = gaussian_env((1.0, 0.95) + (0.2,) * 6, 0.05)
     run = run_re(env, 240, rng())
     diag = run.diagnostics
-    assert diag["separability_flag"] is True
+    assert diag["separability_flag"].all()
     mid = 0.5 * (diag["mu_H_star"] + diag["mu_L_star"])
     for g in diag["groups"]:
         assert g["tau"] == pytest.approx(mid, abs=1e-12)
@@ -405,9 +405,9 @@ class ScriptedEnv:
         return -1.0
 
     def pull_arms_sum(self, arms, n, r):
-        return n * np.array([self.arm_means[a - 1] for a in arms], dtype=float)
+        return n * np.asarray(self.arm_means, dtype=float)[np.asarray(arms) - 1]
 
-    def pull_group_sum(self, members, n, r):
+    def pull_group_sum(self, members, n, r, trials=1):
         members = set(members)
         # groups {3,4} and {5,6} read high, group {2,4,6} reads low
         if members in ({3, 4}, {5, 6}):
@@ -417,7 +417,7 @@ class ScriptedEnv:
 
 def test_re_dummy_decode_falls_back_to_wrapped_index():
     run = run_re(ScriptedEnv([0.0] * 6), 60, rng())
-    assert run.diagnostics["decoded_dummy"] is True
+    assert run.diagnostics["decoded_dummy"].all()
     # detections (0,1,1) point at padding arm 7; 7 mod 6 wraps to arm 1
     assert run.recommended_arm == 1
 
@@ -425,7 +425,7 @@ def test_re_dummy_decode_falls_back_to_wrapped_index():
 def test_re_dummy_decode_falls_back_to_exploration_argmax():
     env = ScriptedEnv([1.0, 2.0, 3.0, 9.0, 2.0, 1.0])
     run = run_re(env, 60, rng(), ReOptions(alpha=0.3, prior_mode="plugin"))
-    assert run.diagnostics["decoded_dummy"] is True
+    assert run.diagnostics["decoded_dummy"].all()
     assert run.recommended_arm == 4
 
 

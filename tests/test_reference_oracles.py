@@ -242,11 +242,11 @@ class SequenceEnv:
     def pull_arms_sum(self, arms, n, rng):
         return self.inner.pull_arms_sum(arms, n, rng)
 
-    def pull_group_sum(self, members, n, rng):
+    def pull_group_sum(self, members, n, rng, trials=1):
         self.seen.append(members)
         arms = [int(members[i]) for i in range(len(members))]
         assert arms == sorted(set(arms)) == list(members)
-        return sample_group_sum(self.inner.instance, arms, n, rng)
+        return sample_group_sum(self.inner.instance, arms, n, rng, trials)
 
 
 @pytest.mark.parametrize("K", [5, 8])
