@@ -27,7 +27,6 @@ from .errors import (
     DegenerateInterval,
     DuplicateBestArm,
     EmptyGroup,
-    EmptySubset,
     IndexOutOfRange,
     InvalidK,
     IoFailure,
@@ -60,7 +59,7 @@ __all__ = [
     "instance_from_json",
     "BestArmError", "BudgetTooSmall", "ConfigParse", "CsvFormatError",
     "DecodedDummyArm", "DegenerateInterval", "DuplicateBestArm", "EmptyGroup",
-    "EmptySubset", "IndexOutOfRange", "InvalidK", "IoFailure",
+    "IndexOutOfRange", "InvalidK", "IoFailure",
     "SeparabilityViolated", "SupportViolation",
     "construct_groups", "bound_re", "hardness",
     "BanditEnv", "ReOptions", "run_policy",

@@ -20,21 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MAX_K,
-    BanditInstance,
-    Gaussian,
-    _arm_array,
-    _check_arms,
-    _member_indices,
-)
-from .errors import (
-    CsvFormatError,
-    EmptySubset,
-    IndexOutOfRange,
-    InvalidK,
-    SupportViolation,
-)
+from .core import MAX_K, BanditInstance, Gaussian
+from .errors import CsvFormatError, IndexOutOfRange, InvalidK, SupportViolation
 from .experiments import run_cells
 from .policies import BanditEnv, ReOptions
 
@@ -83,7 +70,8 @@ class JammerEnv(BanditEnv):
 
     Single pulls are the base class's Gaussian draws with variance
     noise_var. The noise is the receiver's, not the arms', so a subset
-    probe keeps the full noise floor while its mean shrinks to 1/|S|.
+    probe keeps the full noise floor while its mean shrinks to 1/|S|: the
+    group law is the one hook this class overrides.
     """
 
     def __init__(self, scenario: JammerScenario):
@@ -94,14 +82,8 @@ class JammerEnv(BanditEnv):
         family = Gaussian(scenario.noise_var)
         super().__init__(BanditInstance(means=means, family=family))
 
-    def pull_group_sum(self, members, n: int, rng, trials: int = 1) -> np.ndarray:
-        if n <= 0:
-            return np.zeros(trials)
-        group = set(members)
-        if not group:
-            raise EmptySubset("cannot probe an empty waveform subset")
-        _member_indices(self.instance, group)  # raises IndexOutOfRange
-        mean = (1.0 / len(group)) if self.scenario.j_star in group else 0.0
+    def _group_sums(self, idx, n: int, rng, trials: int) -> np.ndarray:
+        mean = 1.0 / len(idx) if self.scenario.j_star - 1 in idx else 0.0
         nv = self.scenario.noise_var
         if nv == 0.0:
             return np.full(trials, n * mean)
@@ -381,43 +363,32 @@ class RadarEnv(BanditEnv):
         """Energy of n plays of one channel."""
         return float(self.pull_arms_sum(np.array([arm]), n, rng)[0])
 
-    def pull_arms_sum(self, arms, n: int, rng) -> np.ndarray:
+    def _arm_sums(self, idx, n: int, rng) -> np.ndarray:
         """Idle channels first, in order, then every active entry at once;
-        the inherited Gaussian batch would draw from the wrong law."""
-        arms = _arm_array(arms)
-        _check_arms(self.instance, arms)
-        out = np.zeros(arms.shape)
-        if n <= 0:
-            return out
-        active = arms == self.scenario.active_channel
+        the inherited Gaussian draws would come from the wrong law."""
+        out = np.zeros(idx.shape)
+        active = idx == self.scenario.active_channel - 1
         nv = self.scenario.noise_var
-        idle = arms.size - int(np.count_nonzero(active))
+        idle = idx.size - int(np.count_nonzero(active))
         if idle and nv > 0.0:
             chi = rng.chisquare(2 * self.scenario.N * n, size=idle)
             out[~active] = (nv / 2.0) * chi
-        if idle < arms.size:
-            out[active] = self._active_sums(arms.size - idle, n, rng)
+        if idle < idx.size:
+            out[active] = self._active_sums(idx.size - idle, n, rng)
         return out
 
-    def pull_group_sum(self, members, n: int, rng, trials: int = 1) -> np.ndarray:
-        if n <= 0:
-            return np.zeros(trials)
-        group = sorted(set(members))
-        if not group:
-            raise EmptySubset("cannot sense an empty channel subset")
-        for arm in (group[0], group[-1]):
-            if not 1 <= arm <= self.K:
-                raise IndexOutOfRange(f"arm {arm} not in 1..{self.K}")
+    def _group_sums(self, idx, n: int, rng, trials: int) -> np.ndarray:
+        """The active channel first, then all idle members in one draw."""
         scenario = self.scenario
-        active = scenario.active_channel
+        has_active = scenario.active_channel - 1 in idx
         total = np.zeros(trials)
-        if active in group:
+        if has_active:
             total += self._active_sums(trials, n, rng)
-        idle = len(group) - (active in group)
+        idle = len(idx) - has_active
         if idle and scenario.noise_var > 0.0:
             chi = rng.chisquare(2 * scenario.N * n * idle, size=trials)
             total += (scenario.noise_var / 2.0) * chi
-        return total / len(group)
+        return total / len(idx)
 
 
 def run_radar_experiment(

@@ -83,6 +83,8 @@ def _cmd_bounds(args):
     instance = instance_from_json(_read_text(args.instance, "instance"))
     budgets = parse_budgets(args.budgets)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise ConfigParse(f"--algorithms names no algorithm: {args.algorithms!r}")
     for algorithm in algorithms:
         if algorithm not in ("UE", "SR", "SH") and not algorithm.startswith("RE"):
             raise ConfigParse(f"unknown algorithm {algorithm!r}")

@@ -1,4 +1,4 @@
-"""Bandit instances, gap bookkeeping, and reward sampling.
+"""Bandit instances, gap bookkeeping, rng streams and arm-index checks.
 
 Arms are 1-indexed throughout the public API. Reward families:
 
@@ -166,14 +166,22 @@ class RngStream:
 
 
 def _arm_array(arms) -> np.ndarray:
-    """Arms as an int64 array of any shape; an int64 array passes through
-    uncopied and any other iterable becomes a 1-D array."""
-    if isinstance(arms, np.ndarray):
-        return arms.astype(np.int64, copy=False)
+    """Arms as an int64 array of any shape; an array passes through (int64
+    uncopied) and any other iterable becomes a 1-D array. A value that is
+    not a whole number in int64 raises IndexOutOfRange."""
+    values = arms if isinstance(arms, np.ndarray) else np.asarray(list(arms))
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
     try:
-        return np.fromiter(arms, dtype=np.int64)
-    except OverflowError as exc:
-        raise IndexOutOfRange(f"arm index does not fit in int64: {exc}") from exc
+        with np.errstate(invalid="ignore"):
+            whole = values.astype(np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise IndexOutOfRange(f"arm index is not an int64: {exc}") from exc
+    bad = whole != values
+    if bad.any():
+        arm = values.flat[np.argmax(bad)]
+        raise IndexOutOfRange(f"arm {arm} is not a whole number in int64")
+    return whole
 
 
 def _check_arms(instance: BanditInstance, arms: np.ndarray) -> np.ndarray:
@@ -197,68 +205,6 @@ def _member_indices(instance: BanditInstance, members) -> np.ndarray:
     if (arms[1:] == arms[:-1]).any():
         arms = np.unique(arms)
     return _check_arms(instance, arms)
-
-
-def sample_arms_sum(
-    instance: BanditInstance, arms, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n-pull reward sums, one independent entry per entry of `arms`.
-
-    `arms` may have any shape, such as (trials, arms) for a block of
-    trials; the sums have the same shape. Each entry is drawn from its
-    sufficient statistic, with the law of n summed single draws: the
-    Gaussian sum is N(n*mu, n*sigma2) and the Bernoulli sum is
-    Binomial(n, mu). All entries share one numpy call, filled in row-major
-    order.
-    """
-    idx = _check_arms(instance, _arm_array(arms))
-    if n <= 0:
-        return np.zeros(idx.shape)
-    mu = instance._mean_array[idx]
-    if isinstance(instance.family, Gaussian):
-        sums = n * mu
-        if instance.family.sigma2 > 0.0:
-            sums = sums + rng.normal(
-                0.0, np.sqrt(n * instance.family.sigma2), size=idx.shape
-            )
-        return np.asarray(sums, dtype=float)
-    return rng.binomial(n, mu).astype(float)
-
-
-def sample_group_sum(
-    instance: BanditInstance,
-    members,
-    n: int,
-    rng: np.random.Generator,
-    trials: int = 1,
-) -> np.ndarray:
-    """Sums over n pulls of the group-average reward, one per trial, via
-    sufficient statistics."""
-    idx = _member_indices(instance, members)
-    if n <= 0:
-        return np.zeros(trials)
-    mu = instance._mean_array[idx]
-    g = len(idx)
-    if isinstance(instance.family, Gaussian):
-        group_mu = float(mu.mean())
-        var = instance.family.sigma2 / g
-        return rng.normal(n * group_mu, np.sqrt(n * var), size=trials)
-    # per-member success counts over the n pulls, one row per trial
-    counts = rng.binomial(n, mu, size=(trials, g))
-    return counts.sum(axis=1) / g
-
-
-def dummy_mean(instance: BanditInstance) -> float:
-    """Point-mass mean for padding arms: well below the worst real arm.
-
-    mu_dummy = mu_[K] - Delta_max, floored at 0 for the [0,1] families (the
-    floor is the support clip; Gaussian means are unconstrained).
-    """
-    prof = gap_profile(instance)
-    raw = prof.sorted_means[-1] - prof.delta_max
-    if _is_unit_family(instance.family):
-        return max(0.0, raw)
-    return raw
 
 
 def family_from_json(family_spec) -> Family:

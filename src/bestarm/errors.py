@@ -27,10 +27,6 @@ class EmptyGroup(BestArmError):
     """A group pull was requested for an empty member set."""
 
 
-class EmptySubset(BestArmError):
-    """A jammer probe was requested for an empty waveform subset."""
-
-
 class InvalidK(BestArmError):
     """Arm count is too small to build groups (K < 2)."""
 

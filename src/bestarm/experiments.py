@@ -112,7 +112,11 @@ def generate_instance(spec: InstanceSpec) -> BanditInstance:
     if spec.generator == "explicit":
         if spec.means is None:
             raise ConfigParse("explicit generator needs means")
+        if spec.K != len(spec.means):
+            raise ConfigParse(f"K={spec.K} does not match {len(spec.means)} means")
         return BanditInstance(means=tuple(spec.means), family=spec.family)
+    if spec.means is not None:
+        raise ConfigParse(f"the {spec.generator} generator takes no means")
     K = spec.K
     if not 2 <= K <= MAX_K:
         raise ConfigParse(f"need 2 <= K <= {MAX_K}, got {K}")

@@ -12,8 +12,9 @@ a set of arms:
 
 One group play costs one unit of budget (the agent probes a subset and sees
 one scalar), matching the combinatorial-pull model. ``BanditEnv`` adapts a
-``BanditInstance``; the case-study environments subclass it and replace only
-the pull laws that differ.
+``BanditInstance`` and owns the pull contract (input checks, n <= 0); the
+case-study environments subclass it and override only the observation law,
+its ``_arm_sums`` and ``_group_sums`` hooks.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class Environment(Protocol):
     between trials, and the pull returns one sum per trial, shape
     (trials,). Read arms and members with len(), iteration or indexing,
     and never mutate them. The draws for a block come from the one
-    generator `rng` of that block.
+    generator `rng` of that block. BanditEnv's pulls check their input;
+    its subclasses supply only the draw law.
     """
 
     @property
@@ -79,11 +81,15 @@ class Environment(Protocol):
 
 
 class BanditEnv:
-    """Environment view of a BanditInstance.
+    """Environment view of a BanditInstance, and the one pull contract.
 
     The instance fixes the arms, the best arm, the gaps and the variance
-    the RE threshold reads; the pull methods draw from the instance's law.
-    A subclass with another observation law overrides the pulls it changes.
+    the RE threshold reads. Both pulls check their input first, at every n:
+    arms are whole numbers in [1, K] (else IndexOutOfRange), and a group's
+    members are deduplicated and nonempty (else EmptyGroup). With n <= 0 a
+    pull returns zeros; otherwise the law hook `_arm_sums` or `_group_sums`
+    draws from 0-based int64 indices. A subclass with another observation
+    law overrides only these hooks.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -111,15 +117,60 @@ class BanditEnv:
         return self._gap_profile
 
     def dummy_mean(self) -> float:
-        return core.dummy_mean(self.instance)
+        """Point-mass mean for padding arms: well below the worst real arm.
+
+        mu_dummy = mu_[K] - Delta_max, floored at 0 for the [0,1] families
+        (the floor is the support clip; Gaussian means are unconstrained).
+        """
+        prof = self._gap_profile
+        raw = prof.sorted_means[-1] - prof.delta_max
+        if core._is_unit_family(self.instance.family):
+            return max(0.0, raw)
+        return raw
 
     def pull_arms_sum(self, arms, n: int, rng: np.random.Generator) -> np.ndarray:
-        return core.sample_arms_sum(self.instance, arms, n, rng)
+        """n-pull reward sums, one independent entry per entry of `arms`,
+        in the same shape."""
+        idx = core._check_arms(self.instance, core._arm_array(arms))
+        if n <= 0:
+            return np.zeros(idx.shape)
+        return self._arm_sums(idx, n, rng)
 
     def pull_group_sum(
         self, members, n: int, rng: np.random.Generator, trials: int = 1
     ) -> np.ndarray:
-        return core.sample_group_sum(self.instance, members, n, rng, trials)
+        """Sums over n group plays, one per trial, shape (trials,)."""
+        idx = core._member_indices(self.instance, members)
+        if n <= 0:
+            return np.zeros(trials)
+        return self._group_sums(idx, n, rng, trials)
+
+    def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
+        """Sufficient statistics, one numpy call filled in row-major order:
+        N(n*mu, n*sigma2) for Gaussian sums, Binomial(n, mu) otherwise."""
+        mu = self.instance._mean_array[idx]
+        family = self.instance.family
+        if isinstance(family, Gaussian):
+            sums = n * mu
+            if family.sigma2 > 0.0:
+                sums = sums + rng.normal(
+                    0.0, np.sqrt(n * family.sigma2), size=idx.shape
+                )
+            return np.asarray(sums, dtype=float)
+        return rng.binomial(n, mu).astype(float)
+
+    def _group_sums(self, idx: np.ndarray, n: int, rng, trials: int) -> np.ndarray:
+        """A group play averages one draw per member: N(mean mu, sigma2/g)
+        for Gaussian rewards, per-member Binomial counts otherwise."""
+        mu = self.instance._mean_array[idx]
+        g = len(idx)
+        family = self.instance.family
+        if isinstance(family, Gaussian):
+            var = family.sigma2 / g
+            return rng.normal(n * float(mu.mean()), np.sqrt(n * var), size=trials)
+        # per-member success counts over the n pulls, one row per trial
+        counts = rng.binomial(n, mu, size=(trials, g))
+        return counts.sum(axis=1) / g
 
 
 @dataclass(frozen=True)

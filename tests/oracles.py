@@ -21,7 +21,7 @@ from bestarm.core import BanditInstance, Bernoulli, Gaussian, _member_indices
 from bestarm.errors import (
     BudgetTooSmall,
     DecodedDummyArm,
-    EmptySubset,
+    EmptyGroup,
     IndexOutOfRange,
 )
 from bestarm.grouping import construct_groups, decode_best_arm
@@ -117,7 +117,7 @@ def jammer_reward(scenario: JammerScenario, subset: set, rng) -> float:
     """One probe of a waveform subset: (1/m) 1{j* in subset} + noise."""
     m = len(subset)
     if m == 0:
-        raise EmptySubset("cannot probe an empty waveform subset")
+        raise EmptyGroup("cannot probe an empty waveform subset")
     for j in subset:
         if not 1 <= j <= scenario.K:
             raise IndexOutOfRange(f"waveform {j} not in 1..{scenario.K}")
@@ -182,7 +182,7 @@ def radar_energy(block) -> float:
     """Sum of squared I/Q magnitudes."""
     arr = np.asarray(block)
     if arr.size == 0:
-        raise EmptySubset("energy of an empty block is undefined")
+        raise EmptyGroup("energy of an empty block is undefined")
     return float(np.sum(arr.real**2 + arr.imag**2))
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 from bestarm import (
     CsvFormatError,
     DuplicateBestArm,
-    EmptySubset,
+    EmptyGroup,
     IndexOutOfRange,
     InvalidK,
     RadarScenario,
@@ -54,7 +54,7 @@ def test_jammer_reward_noiseless_values():
 
 def test_jammer_reward_validation():
     sc = JammerScenario(K=8, j_star=1, noise_var=0.0)
-    with pytest.raises(EmptySubset):
+    with pytest.raises(EmptyGroup):
         jammer_reward(sc, set(), rng())
     with pytest.raises(IndexOutOfRange):
         jammer_reward(sc, {0, 1}, rng())
@@ -96,9 +96,10 @@ def test_jammer_env_means_and_gap():
     for members in ({0, 1}, {8, 9}):
         with pytest.raises(IndexOutOfRange):
             env.pull_group_sum(members, 3, rng())
-    with pytest.raises(EmptySubset):
+    with pytest.raises(EmptyGroup):
         env.pull_group_sum(set(), 3, rng())
-    assert env.pull_group_sum({0, 99}, 0, rng()) == 0.0
+    with pytest.raises(IndexOutOfRange):
+        env.pull_group_sum({0, 99}, 0, rng())
 
 
 def test_jammer_group_probe_keeps_receiver_noise_floor():
@@ -178,7 +179,7 @@ def test_pulse_spans_truncate_to_window():
 def test_radar_energy_values():
     assert radar_energy(np.zeros(5, dtype=complex)) == 0.0
     assert radar_energy([3.0 + 4.0j]) == pytest.approx(25.0)
-    with pytest.raises(EmptySubset):
+    with pytest.raises(EmptyGroup):
         radar_energy(np.array([]))
 
 
@@ -298,9 +299,10 @@ def test_radar_group_pull_validates_members():
     for members in ({0, 1}, {8, 9}, np.array([2, 3, 12]), [-1]):
         with pytest.raises(IndexOutOfRange):
             env.pull_group_sum(members, 2, rng())
-    with pytest.raises(EmptySubset):
+    with pytest.raises(EmptyGroup):
         env.pull_group_sum(set(), 2, rng())
-    assert env.pull_group_sum(set(), 0, rng()) == 0.0
+    with pytest.raises(EmptyGroup):
+        env.pull_group_sum(set(), 0, rng())
 
 
 def test_radar_env_analytic_means():

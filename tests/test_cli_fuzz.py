@@ -77,7 +77,13 @@ def cli_args(draw, workdir: Path):
         if sub == "hardness":
             return ["hardness", "--instance", str(path)]
         budgets = pick(draw, st.sampled_from(["4,40", "8:64:x2", "10"]), GRIDS)
-        return ["bounds", "--instance", str(path), "--budgets", budgets]
+        algorithms = pick(
+            draw, st.sampled_from(["UE,SR,SH,RE", "UE,RE", "SR"]), HOSTILE | st.just(" , ")
+        )
+        return [
+            "bounds", "--instance", str(path), "--budgets", budgets,
+            "--algorithms", algorithms,
+        ]
     if sub == "simulate":
         json_value = st.sampled_from([
             float("nan"), float("inf"), -1, 0, 1.5, 1e300, 10**30, 2**63,
@@ -146,15 +152,15 @@ def cli_args(draw, workdir: Path):
 
 
 def run_main(argv):
-    """Exit status and stderr of one call; a usage error exits through
-    SystemExit, as argparse's do."""
+    """Exit status, stdout and stderr of one call; a usage error exits
+    through SystemExit, as argparse's do."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = main(argv)
         except SystemExit as exc:
             status = exc.code
-    return status, err.getvalue()
+    return status, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,10 +168,11 @@ def run_main(argv):
 def test_hostile_values_give_one_json_error_or_success(data):
     with tempfile.TemporaryDirectory() as tmp:
         argv = data.draw(cli_args(Path(tmp)), label="argv")
-        status, err = run_main(argv)
+        status, out, err = run_main(argv)
     assert "Traceback" not in err
     if status == 0:
-        assert err == ""
+        # a header and at least one data row: never a silent empty table
+        assert err == "" and len(out.splitlines()) >= 2, (argv, out)
         return
     assert status in (1, 2), (argv, status, err)
     lines = err.strip().splitlines()
@@ -187,9 +194,24 @@ def test_hostile_values_give_one_json_error_or_success(data):
         ["group-mean-dist", "--bins", str(10**30), "--samples", "1"],
         ["simulate"],
         ["no-such-subcommand"],
+        ["bounds", "--instance", "{instance}", "--budgets", "10", "--algorithms", ","],
+        ["simulate", "--config", "{config}"],
     ],
 )
-def test_refused_at_once(argv):
-    status, err = run_main(argv)
-    assert status in (1, 2)
+def test_refused_at_once(argv, tmp_path):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"means": [1.0, 0.5], "family": "bernoulli"}))
+    # an explicit config whose K does not match its means
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "instance": {
+            "K": 99, "generator": "explicit", "means": [1.0, 0.5, 0.5, 0.5],
+            "family": {"gaussian": {"sigma2": 0.1}},
+        },
+        "budgets": [8],
+        "trials": 1,
+    }))
+    argv = [a.format(instance=instance, config=config) for a in argv]
+    status, out, err = run_main(argv)
+    assert status in (1, 2) and out == ""
     assert set(json.loads(err)) == {"code", "message"}

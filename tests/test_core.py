@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bestarm import (
+    BanditEnv,
     BanditInstance,
     Bernoulli,
     BoundedUnit,
@@ -22,12 +23,7 @@ from bestarm import (
     gap_profile,
     instance_from_json,
 )
-from bestarm.core import (
-    RngStream,
-    dummy_mean,
-    sample_arms_sum,
-    sample_group_sum,
-)
+from bestarm.core import RngStream
 from oracles import instance_to_json, sample_arm, sample_group
 
 
@@ -193,7 +189,8 @@ def test_sample_arm_sum_moments_gaussian():
     inst = BanditInstance(means=(0.5,), family=Gaussian(0.2))
     n = 25
     r = rng(3)
-    draws = np.array([sample_arms_sum(inst, [1], n, r)[0] for _ in range(50_000)])
+    env = BanditEnv(inst)
+    draws = np.array([env.pull_arms_sum([1], n, r)[0] for _ in range(50_000)])
     assert draws.mean() == pytest.approx(n * 0.5, abs=0.05)
     assert draws.var() == pytest.approx(n * 0.2, rel=0.05)
 
@@ -202,7 +199,8 @@ def test_sample_arm_sum_bernoulli_is_binomial_like():
     inst = BanditInstance(means=(0.3,), family=Bernoulli())
     n = 40
     r = rng(4)
-    draws = np.array([sample_arms_sum(inst, [1], n, r)[0] for _ in range(20_000)])
+    env = BanditEnv(inst)
+    draws = np.array([env.pull_arms_sum([1], n, r)[0] for _ in range(20_000)])
     assert np.all(draws == np.round(draws))
     assert np.all((draws >= 0) & (draws <= n))
     assert draws.mean() == pytest.approx(n * 0.3, rel=0.02)
@@ -211,12 +209,12 @@ def test_sample_arm_sum_bernoulli_is_binomial_like():
 
 def test_sample_arm_sum_zero_pulls():
     inst = BanditInstance(means=(0.5,), family=Gaussian(1.0))
-    assert sample_arms_sum(inst, [1], 0, rng())[0] == 0.0
+    assert BanditEnv(inst).pull_arms_sum([1], 0, rng())[0] == 0.0
 
 
 def test_sample_arms_sum_zero_variance_exact():
     inst = BanditInstance(means=(0.1, 0.2, 0.7), family=Gaussian(0.0))
-    out = sample_arms_sum(inst, [1, 2, 3], 10, rng())
+    out = BanditEnv(inst).pull_arms_sum([1, 2, 3], 10, rng())
     assert np.allclose(out, [1.0, 2.0, 7.0])
 
 
@@ -224,7 +222,8 @@ def test_sample_arms_sum_matches_per_arm_law():
     inst = BanditInstance(means=(0.2, 0.8), family=Gaussian(0.5))
     n = 16
     r = rng(5)
-    draws = np.array([sample_arms_sum(inst, [1, 2], n, r) for _ in range(30_000)])
+    env = BanditEnv(inst)
+    draws = np.array([env.pull_arms_sum([1, 2], n, r) for _ in range(30_000)])
     assert draws[:, 0].mean() == pytest.approx(n * 0.2, abs=0.07)
     assert draws[:, 1].mean() == pytest.approx(n * 0.8, abs=0.07)
     assert draws[:, 0].var() == pytest.approx(n * 0.5, rel=0.05)
@@ -234,7 +233,7 @@ def test_sample_arms_sum_matches_per_arm_law():
 
 def test_sample_group_sum_zero_variance_exact():
     inst = BanditInstance(means=(0.9, 0.5), family=Gaussian(0.0))
-    assert sample_group_sum(inst, {1, 2}, 10, rng()) == pytest.approx(7.0)
+    assert BanditEnv(inst).pull_group_sum({1, 2}, 10, rng()) == pytest.approx(7.0)
 
 
 def test_sample_group_sum_matches_repeated_group_pulls():
@@ -242,7 +241,8 @@ def test_sample_group_sum_matches_repeated_group_pulls():
     members = {1, 3}
     n = 12
     r1, r2 = rng(31), rng(32)
-    a = np.array([sample_group_sum(inst, members, n, r1) for _ in range(8_000)])
+    env = BanditEnv(inst)
+    a = np.array([env.pull_group_sum(members, n, r1) for _ in range(8_000)])
     b = np.array(
         [sum(sample_group(inst, members, r2) for _ in range(n)) for _ in range(400)]
     )
@@ -270,12 +270,12 @@ def test_rng_stream_ids_are_independent():
 def test_dummy_mean_sits_below_worst_arm():
     inst = BanditInstance(means=(1.0, 0.5, 0.2), family=Gaussian(1.0))
     # worst mean 0.2 minus delta_max 0.8
-    assert dummy_mean(inst) == pytest.approx(-0.6)
+    assert BanditEnv(inst).dummy_mean() == pytest.approx(-0.6)
 
 
 def test_dummy_mean_clipped_for_unit_families():
     inst = BanditInstance(means=(0.9, 0.1, 0.1, 0.1), family=Bernoulli())
-    assert dummy_mean(inst) == 0.0
+    assert BanditEnv(inst).dummy_mean() == 0.0
 
 
 # ----------------------------------------------------------------- json i/o

@@ -1,0 +1,108 @@
+"""One pull contract for every environment: BanditEnv checks arms and
+members the same way at every n, and the case studies supply only their
+draw law.
+
+The Gaussian and Bernoulli BanditEnv cases of the empty-group,
+out-of-range and member-order checks live in test_reference_oracles.py
+(next to the reference sampler); here they run on the case studies, and
+the non-integral and zero-play checks run on all four environments."""
+
+import numpy as np
+import pytest
+
+from bestarm import (
+    BanditEnv,
+    BanditInstance,
+    Bernoulli,
+    EmptyGroup,
+    Gaussian,
+    IndexOutOfRange,
+    RadarScenario,
+)
+from bestarm.casestudies import JammerEnv, JammerScenario, RadarEnv
+
+MEANS = (0.1, 0.4, 0.6, 0.8, 0.3)
+ENVS = {
+    "gaussian": lambda: BanditEnv(BanditInstance(means=MEANS, family=Gaussian(0.3))),
+    "bernoulli": lambda: BanditEnv(BanditInstance(means=MEANS, family=Bernoulli())),
+    "jammer": lambda: JammerEnv(JammerScenario(K=5, j_star=3, noise_var=0.3)),
+    "radar": lambda: RadarEnv(RadarScenario(K=5, active_channel=3, noise_var=1.0)),
+}
+OUT_OF_RANGE = [[0, 2], [2, 6], [-1], [2**70]]
+NON_INTEGRAL = [[1.5], (2, 2.5), np.array([2.5]), [np.nan]]
+
+
+@pytest.fixture(params=sorted(ENVS))
+def env(request):
+    return ENVS[request.param]()
+
+
+@pytest.fixture(params=["jammer", "radar"])
+def case_env(request):
+    return ENVS[request.param]()
+
+
+def assert_refused(env, bad_values, error, n):
+    rng = np.random.default_rng(0)
+    for bad in bad_values:
+        with pytest.raises(error):
+            env.pull_arms_sum(bad, n, rng)
+        with pytest.raises(error):
+            env.pull_group_sum(bad, n, rng)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_case_study_empty_group_raises(case_env, n):
+    for members in (set(), [], np.array([], dtype=np.int64)):
+        with pytest.raises(EmptyGroup):
+            case_env.pull_group_sum(members, n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_case_study_out_of_range_arms_and_members_raise(case_env, n):
+    assert_refused(case_env, OUT_OF_RANGE, IndexOutOfRange, n)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_non_integral_arms_and_members_raise(env, n):
+    assert_refused(env, NON_INTEGRAL, IndexOutOfRange, n)
+
+
+def test_zero_plays_draw_nothing(env):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    arms = np.array([[1, 3], [2, 5]])
+    assert np.array_equal(env.pull_arms_sum(arms, 0, rng), np.zeros((2, 2)))
+    assert np.array_equal(env.pull_group_sum([1, 3], 0, rng, 4), np.zeros(4))
+    assert rng.bit_generator.state == state
+
+
+def test_case_study_member_order_and_duplicates_leave_the_draw_unchanged(case_env):
+    variants = [
+        [4, 1, 3],
+        [3, 3, 1, 4, 4],
+        {4, 3, 1},
+        (1.0, 3.0, 4.0),
+        np.array([4, 4, 1, 3]),
+        np.array([1, 3, 4], dtype=np.int32),
+    ]
+    want = case_env.pull_group_sum([1, 3, 4], 9, np.random.default_rng(7), 4)
+    for members in variants:
+        got = case_env.pull_group_sum(members, 9, np.random.default_rng(7), 4)
+        assert np.array_equal(got, want)
+
+
+def test_integral_arms_of_any_type_give_the_same_draw(env):
+    want = env.pull_arms_sum(np.array([2, 3]), 4, np.random.default_rng(5))
+    for arms in ([2, 3], (2.0, 3.0), range(2, 4), np.array([2.0, 3.0])):
+        got = env.pull_arms_sum(arms, 4, np.random.default_rng(5))
+        assert np.array_equal(got, want)
+
+
+def test_radar_single_channel_pull_rejects_fractional_channel():
+    env = ENVS["radar"]()
+    with pytest.raises(IndexOutOfRange):
+        env.pull_arm_sum(2.5, 3, np.random.default_rng(0))
+    assert env.pull_arm_sum(2.0, 3, np.random.default_rng(0)) == env.pull_arm_sum(
+        2, 3, np.random.default_rng(0)
+    )

@@ -33,7 +33,6 @@ from bestarm.casestudies import (
     _slots_that_can_start,
     signal_sample_counts,
 )
-from bestarm.core import sample_arms_sum, sample_group_sum
 from bestarm.policies import _expit, _real_members, _sr_logbar, run_sr
 from oracles import sample_group
 
@@ -118,10 +117,11 @@ def test_run_sr_matches_reference(K, bernoulli, tied, T_of_K):
 def test_sample_group_sum_matches_reference(family):
     meta = np.random.default_rng(1)
     instance = BanditInstance(means=tuple(meta.uniform(0, 1, size=21)), family=family)
+    env = BanditEnv(instance)
     for trial in range(40):
         members = meta.choice(np.arange(1, 22), size=int(meta.integers(1, 21)))
         for n in (0, 1, 17):
-            got = sample_group_sum(instance, members, n, np.random.default_rng(trial))
+            got = env.pull_group_sum(members, n, np.random.default_rng(trial))
             want = reference_sample_group_sum(
                 instance, members, n, np.random.default_rng(trial)
             )
@@ -141,7 +141,7 @@ def test_group_members_order_and_duplicates_do_not_change_the_draw(family):
         np.array([1, 3, 4], dtype=np.int32),
     ]
     for sampler in (
-        lambda members, r: sample_group_sum(instance, members, 9, r),
+        lambda members, r: BanditEnv(instance).pull_group_sum(members, 9, r),
         lambda members, r: sample_group(instance, members, r),
     ):
         want = sampler(canonical, np.random.default_rng(7))
@@ -153,8 +153,8 @@ def test_group_samplers_still_validate_members():
     instance = BanditInstance(means=(0.5, 0.6, 0.7), family=Gaussian(0.1))
     rng = np.random.default_rng(0)
     for sampler in (
-        lambda members: sample_group_sum(instance, members, 5, rng),
-        lambda members: sample_group_sum(instance, members, 0, rng),
+        lambda members: BanditEnv(instance).pull_group_sum(members, 5, rng),
+        lambda members: BanditEnv(instance).pull_group_sum(members, 0, rng),
         lambda members: sample_group(instance, members, rng),
     ):
         with pytest.raises(EmptyGroup):
@@ -166,7 +166,7 @@ def test_group_samplers_still_validate_members():
                 sampler(bad)
     for bad in ([1, 4], [0], np.array([3, -1])):
         with pytest.raises(IndexOutOfRange):
-            sample_arms_sum(instance, bad, 5, rng)
+            BanditEnv(instance).pull_arms_sum(bad, 5, rng)
 
 
 def test_memoised_group_data_is_immutable():
@@ -246,7 +246,7 @@ class SequenceEnv:
         self.seen.append(members)
         arms = [int(members[i]) for i in range(len(members))]
         assert arms == sorted(set(arms)) == list(members)
-        return sample_group_sum(self.inner.instance, arms, n, rng, trials)
+        return self.inner.pull_group_sum(arms, n, rng, trials)
 
 
 @pytest.mark.parametrize("K", [5, 8])
