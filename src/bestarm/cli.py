@@ -27,6 +27,7 @@ from .experiments import (
     experiment_config_from_json,
     group_mean_distribution,
     group_mean_distribution_rows,
+    parse_algorithms,
     parse_budgets,
     parse_grid,
     result_rows,
@@ -82,12 +83,7 @@ def _cmd_hardness(args):
 def _cmd_bounds(args):
     instance = instance_from_json(_read_text(args.instance, "instance"))
     budgets = parse_budgets(args.budgets)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    if not algorithms:
-        raise ConfigParse(f"--algorithms names no algorithm: {args.algorithms!r}")
-    for algorithm in algorithms:
-        if algorithm not in ("UE", "SR", "SH") and not algorithm.startswith("RE"):
-            raise ConfigParse(f"unknown algorithm {algorithm!r}")
+    algorithms = parse_algorithms(args.algorithms)
     hp = hardness(gap_profile(instance))
     rows = []
     for algorithm in algorithms:

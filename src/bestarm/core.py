@@ -56,10 +56,6 @@ class BoundedUnit:
 Family = Gaussian | Bernoulli | BoundedUnit
 
 
-def _is_unit_family(family: Family) -> bool:
-    return isinstance(family, (Bernoulli, BoundedUnit))
-
-
 @dataclass(frozen=True)
 class BanditInstance:
     """A K-armed instance: mean vector plus reward family."""
@@ -74,7 +70,7 @@ class BanditInstance:
             raise SupportViolation("instance needs at least one arm")
         if not all(map(math.isfinite, means)):
             raise SupportViolation("means must be finite")
-        if _is_unit_family(self.family):
+        if isinstance(self.family, (Bernoulli, BoundedUnit)):
             if min(means) < 0.0 or max(means) > 1.0:
                 raise SupportViolation(
                     "Bernoulli/BoundedUnit means must lie in [0,1]"

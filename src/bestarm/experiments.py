@@ -38,7 +38,7 @@ from .hardness import (
     bound_ue,
     hardness,
 )
-from .policies import BanditEnv, Environment, ReOptions, run_policy
+from .policies import BanditEnv, ReOptions, run_policy
 
 # Most points parse_grid returns, and most histogram bins of
 # group_mean_distribution: far more than a sweep can run or a plot can
@@ -184,7 +184,7 @@ def block_trials(K: int) -> int:
 
 
 def run_cells(
-    env: Environment,
+    env: BanditEnv,
     algorithms,
     budgets,
     trials: int,
@@ -395,6 +395,25 @@ def parse_budgets(text: str) -> tuple[int, ...]:
     return budgets
 
 
+_ALGORITHMS = {"UE", "SR", "SH", "RE"}
+
+
+def parse_algorithms(names) -> tuple[str, ...]:
+    """Algorithm names from a comma list or a JSON list. Raises ConfigParse
+    for no name or a name outside UE, SR, SH and RE."""
+    if isinstance(names, str):
+        names = [p.strip() for p in names.split(",") if p.strip()]
+    if not isinstance(names, list) or not names:
+        raise ConfigParse(f"algorithms must name an algorithm, got {names!r}")
+    algorithms = tuple(str(a) for a in names)
+    for a in algorithms:
+        if a not in _ALGORITHMS:
+            raise ConfigParse(
+                f"unknown algorithm {a!r} (choose from {sorted(_ALGORITHMS)})"
+            )
+    return algorithms
+
+
 _CONFIG_KEYS = {"instance", "budgets", "algorithms", "trials", "master_seed", "re_options"}
 _INSTANCE_KEYS = {
     "K",
@@ -408,7 +427,6 @@ _INSTANCE_KEYS = {
     "label",
 }
 _RE_OPTION_KEYS = {"alpha", "prior_mode"}
-_ALGORITHMS = {"UE", "SR", "SH", "RE"}
 
 
 def _canonical_generator(name) -> str:
@@ -478,15 +496,7 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
     else:
         raise ConfigParse("budgets must be a nonempty list or a grid string")
     check_budgets(budgets)
-    algorithms_raw = payload.get("algorithms", list(("UE", "SR", "SH", "RE")))
-    if isinstance(algorithms_raw, str):
-        algorithms_raw = [p.strip() for p in algorithms_raw.split(",") if p.strip()]
-    algorithms = tuple(str(a) for a in algorithms_raw)
-    if not algorithms:
-        raise ConfigParse("algorithms must be nonempty")
-    for a in algorithms:
-        if a not in _ALGORITHMS:
-            raise ConfigParse(f"unknown algorithm {a!r} (choose from {sorted(_ALGORITHMS)})")
+    algorithms = parse_algorithms(payload.get("algorithms", "UE,SR,SH,RE"))
     re_raw = payload.get("re_options", {})
     if not isinstance(re_raw, dict):
         raise ConfigParse("re_options must be a JSON object")

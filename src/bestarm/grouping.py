@@ -3,8 +3,10 @@
 Arm i belongs to group k exactly when bit k of (i-1) is set, counting bit 1
 as the least significant place. The m-bit membership pattern of an arm is
 therefore the binary expansion of (i-1), which makes decoding a detection
-vector a base-2 read-off. Non-power-of-two arm counts are padded with dummy
-arms so every group has exactly K_padded/2 members.
+vector a base-2 read-off. A K that is not a power of two is counted up to
+K_padded, the next one, so every group holds K_padded/2 indices; those past
+K (`dummy_arms`) are arms of no instance, and RE tests each group on its
+members in [1, K] alone.
 """
 
 from __future__ import annotations

@@ -172,10 +172,8 @@ def log_bound_re(
     eta: float | None,
     sigma2: float | None = None,
 ):
-    """Natural log of the combinatorial (grouped) exploration bound.
-
-    K must be a power of two (pass the padded count for padded instances).
-    """
+    """Natural log of the combinatorial (grouped) exploration bound, which
+    is derived for a power-of-two K only."""
     if K < 2 or K & (K - 1):
         raise InvalidK(f"RE bound needs a power-of-two K, got {K}")
     if eta is None or not 0.0 < eta <= 1.0:

@@ -22,18 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Protocol
 
 import numpy as np
 
 from . import core
 from .core import BanditInstance, Gaussian, GapProfile
-from .errors import (
-    BudgetTooSmall,
-    DecodedDummyArm,
-    DegenerateInterval,
-    SeparabilityViolated,
-)
+from .errors import BudgetTooSmall, DegenerateInterval, SeparabilityViolated
 from .grouping import construct_groups
 # RE decodes a block with array arithmetic; decode_best_arm stays bound here
 # for tools that wrap this module's names (perfbench's tracer).
@@ -42,54 +36,25 @@ from .grouping import decode_best_arm  # noqa: F401
 _EPS_GAP = 1e-6  # floor for plug-in gap estimates
 
 
-class Environment(Protocol):
-    """What a policy needs from the world it samples.
-
-    Arms are 1-based ints. A policy running a block of trials passes
-    `pull_arms_sum` an int64 array of shape (trials, arms), one row per
-    trial with its arms ascending, and gets one sum per entry back; a
-    1-D array, range or list of arms is read the same way. The `members`
-    of a group pull arrive as a sorted read-only int64 array that is shared
-    between trials, and the pull returns one sum per trial, shape
-    (trials,). Read arms and members with len(), iteration or indexing,
-    and never mutate them. The draws for a block come from the one
-    generator `rng` of that block. BanditEnv's pulls check their input;
-    its subclasses supply only the draw law.
-    """
-
-    @property
-    def K(self) -> int: ...
-
-    @property
-    def best_arm(self) -> int: ...
-
-    @property
-    def sigma2(self) -> float | None:
-        """Per-pull reward variance for the Gaussian LRT threshold; None for
-        the bounded families, which use the endpoint midpoint."""
-        ...
-
-    def true_gap_profile(self) -> GapProfile: ...
-
-    def dummy_mean(self) -> float: ...
-
-    def pull_arms_sum(self, arms, n: int, rng: np.random.Generator) -> np.ndarray: ...
-
-    def pull_group_sum(
-        self, members, n: int, rng: np.random.Generator, trials: int = 1
-    ) -> np.ndarray: ...
-
-
 class BanditEnv:
     """Environment view of a BanditInstance, and the one pull contract.
 
     The instance fixes the arms, the best arm, the gaps and the variance
-    the RE threshold reads. Both pulls check their input first, at every n:
-    arms are whole numbers in [1, K] (else IndexOutOfRange), and a group's
-    members are deduplicated and nonempty (else EmptyGroup). With n <= 0 a
-    pull returns zeros; otherwise the law hook `_arm_sums` or `_group_sums`
-    draws from 0-based int64 indices. A subclass with another observation
-    law overrides only these hooks.
+    the RE threshold reads. Arms are 1-based. A policy running a block of
+    trials passes `pull_arms_sum` an int64 array of shape (trials, arms),
+    one row per trial with its arms ascending, and gets one sum per entry
+    back; a 1-D array, range or list of arms is read the same way. The
+    `members` of a group pull arrive as a sorted read-only int64 array
+    shared between trials, and the pull returns one sum per trial, shape
+    (trials,). The draws for a block come from the one generator `rng` of
+    that block.
+
+    Both pulls check their input first, at every n: arms are whole numbers
+    in [1, K] (else IndexOutOfRange), and a group's members are
+    deduplicated and nonempty (else EmptyGroup). With n <= 0 a pull returns
+    zeros; otherwise the law hook `_arm_sums` or `_group_sums` draws from
+    0-based int64 indices, which it reads and never mutates. A custom
+    environment subclasses BanditEnv and overrides only these hooks.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -105,6 +70,8 @@ class BanditEnv:
 
     @property
     def sigma2(self) -> float | None:
+        """Per-pull reward variance for the Gaussian LRT threshold; None for
+        the bounded families, which use the endpoint midpoint."""
         if isinstance(self.instance.family, Gaussian):
             return self.instance.family.sigma2
         return None
@@ -115,18 +82,6 @@ class BanditEnv:
 
     def true_gap_profile(self) -> GapProfile:
         return self._gap_profile
-
-    def dummy_mean(self) -> float:
-        """Point-mass mean for padding arms: well below the worst real arm.
-
-        mu_dummy = mu_[K] - Delta_max, floored at 0 for the [0,1] families
-        (the floor is the support clip; Gaussian means are unconstrained).
-        """
-        prof = self._gap_profile
-        raw = prof.sorted_means[-1] - prof.delta_max
-        if core._is_unit_family(self.instance.family):
-            return max(0.0, raw)
-        return raw
 
     def pull_arms_sum(self, arms, n: int, rng: np.random.Generator) -> np.ndarray:
         """n-pull reward sums, one independent entry per entry of `arms`,
@@ -252,9 +207,10 @@ def lrt_threshold_gaussian(
 ):
     """Gaussian LRT threshold tau_G for group tests.
 
-    K is the (padded) arm count. The endpoints and priors broadcast against
-    each other. With pi0 == pi1 the threshold is exactly the midpoint of the
-    endpoint means.
+    K is the padded arm count: the shift takes a group mean of K/2 members,
+    each of per-pull variance sigma2. The endpoints, priors and sigma2
+    broadcast against each other. With pi0 == pi1 the threshold is exactly
+    the midpoint of the endpoint means.
     """
     mu_H_star = np.asarray(mu_H_star, dtype=float)
     mu_L_star = np.asarray(mu_L_star, dtype=float)
@@ -290,7 +246,7 @@ def _run(algorithm, env, T, rec, pulls_used, diagnostics=None) -> PolicyRun:
 
 
 def run_ue(
-    env: Environment, T: int, rng: np.random.Generator, trials: int = 1
+    env: BanditEnv, T: int, rng: np.random.Generator, trials: int = 1
 ) -> PolicyRun:
     """Uniform exploration: floor(T/K) pulls per arm, recommend best mean."""
     K = env.K
@@ -308,7 +264,7 @@ def _sr_logbar(K: int) -> float:
 
 
 def run_sr(
-    env: Environment, T: int, rng: np.random.Generator, trials: int = 1
+    env: BanditEnv, T: int, rng: np.random.Generator, trials: int = 1
 ) -> PolicyRun:
     """Successive rejects: K-1 phases, reject the worst cumulative mean.
 
@@ -343,7 +299,7 @@ def run_sr(
 
 
 def run_sh(
-    env: Environment, T: int, rng: np.random.Generator, trials: int = 1
+    env: BanditEnv, T: int, rng: np.random.Generator, trials: int = 1
 ) -> PolicyRun:
     """Sequential halving with fresh per-round pulls (Karnin, Koren &
     Somekh, 2013).
@@ -373,17 +329,10 @@ def run_sh(
     return _run("SH", env, T, alive[:, 0], pulls_used)
 
 
-def _padded_endpoints(mu1, d2, dK, K_padded: int):
-    """Worst-case group means: inf over groups with the best arm and sup
-    over groups without it."""
-    mu_H_star = mu1 - (1.0 - 2.0 / K_padded) * dK
-    mu_L_star = mu1 - d2
-    return mu_H_star, mu_L_star
-
-
 @lru_cache(maxsize=64)
 def _real_members(K: int) -> tuple[np.ndarray, ...]:
-    """Each group's real (non-padding) members as a sorted read-only array."""
+    """Each group's real members, the arms in [1, K], as a sorted read-only
+    array; the padding arms K+1..K_padded belong to no test."""
     out = []
     for members in construct_groups(K).groups:
         arr = np.array(sorted(a for a in members if a <= K), dtype=np.int64)
@@ -393,7 +342,7 @@ def _real_members(K: int) -> tuple[np.ndarray, ...]:
 
 
 def run_re(
-    env: Environment,
+    env: BanditEnv,
     T: int,
     rng: np.random.Generator,
     options: ReOptions | None = None,
@@ -405,9 +354,14 @@ def run_re(
     form mean estimates. Phase 2 plays each of the m binary groups
     floor((1-alpha)*T/m) times and compares the group mean against the LRT
     threshold (Gaussian) or the endpoint midpoint (bounded families). The
-    detection bits spell the recommended arm, 1 + sum_k bit_k 2^k. Endpoints,
-    priors and thresholds are (trials,) and (trials, m) arrays built once
-    per block; with oracle priors every row gets the same ones.
+    detection bits spell the recommended arm, 1 + sum_k bit_k 2^k.
+
+    Group k is tested on its g_k real members alone. Its mean lies at or
+    above mu_H*_k = mu_1 - (1 - 1/g_k) Delta_max when it holds the best
+    arm, and at or below mu_L* = mu_1 - Delta_2 otherwise; for K a power
+    of two every g_k is K/2. Endpoints, priors and thresholds are
+    (trials, m) arrays built once per block; with oracle priors every row
+    gets the same ones.
     """
     opts = options or ReOptions()
     K = env.K
@@ -419,7 +373,9 @@ def run_re(
             f"RE needs (1-alpha)*T >= {m} group pulls, got T={T}"
         )
     pulls_used = 0
-    mu_dummy = env.dummy_mean() if code.dummy_arms else 0.0
+    real = _real_members(K)
+    g = np.array([len(members) for members in real], dtype=float)
+    in_frac = 1.0 - 1.0 / g  # (m,): the in-group share of Delta_max
 
     # Phase 1: per-arm estimates (also feeds the fallback recommendation).
     arm_hat = None
@@ -444,55 +400,56 @@ def run_re(
         mu1 = top[:, -1]
         d2 = np.maximum(top[:, -1] - top[:, -2], _EPS_GAP)
         d_max = np.maximum(top[:, -1] - top[:, 0], _EPS_GAP)
-    if code.dummy_arms:
-        d_max = np.maximum(d_max, mu1 - mu_dummy)
-    mu_H_star, mu_L_star = _padded_endpoints(mu1, d2, d_max, Kp)
+    mu1, d2, d_max = mu1[:, None], d2[:, None], d_max[:, None]
+    shape = (trials, m)
+    mu_H_star = mu1 - in_frac * d_max
+    mu_L_star = np.broadcast_to(mu1 - d2, shape)
     separable = mu_H_star > mu_L_star
-    degenerate = (d_max - d2) <= 0.0
 
-    # Group-mean estimates for the priors (padded membership).
+    pi0 = np.full(shape, 0.5)
+    pi1 = np.full(shape, 0.5)
     group_hat = None
     if arm_hat is not None:
-        group_hat = np.empty((trials, m))
-        for k, (members, real) in enumerate(zip(code.groups, _real_members(K))):
-            total = arm_hat[:, real - 1].sum(axis=1)
-            total += (len(members) - len(real)) * mu_dummy
-            group_hat[:, k] = total / len(members)
-
-    pi0 = np.full((trials, m), 0.5)
-    pi1 = np.full((trials, m), 0.5)
-    fit = ~degenerate  # rows whose priors follow their group-mean estimates
-    if group_hat is not None and fit.any():
-        top1, lo, hi = mu1[fit, None], d2[fit, None], d_max[fit, None]
-        pi0[fit], pi1[fit] = compute_priors(
-            group_hat[fit],
-            top1 - (1.0 - 2.0 / Kp) * (lo + hi) / 2.0,  # typical in-group mean
-            top1 - (lo + hi) / 2.0,  # typical out-group mean
-            (1.0 - 2.0 / Kp) * (hi - lo),
-            hi - lo,
-        )
-    # bounded families and flagged rows use the prior-free midpoint
-    tau = np.repeat(0.5 * (mu_H_star + mu_L_star)[:, None], m, axis=1)
+        group_hat = np.stack(
+            [arm_hat[:, members - 1].sum(axis=1) for members in real], axis=1
+        ) / g
+        # Priors follow the group-mean estimates except in rows whose gaps
+        # leave no interval, and in groups of one real member, whose
+        # in-group mean is mu_1 itself.
+        fit = ((d_max - d2) > 0.0) & (g > 1)
+        if fit.any():
+            args = np.broadcast_arrays(
+                mu1 - in_frac * (d2 + d_max) / 2.0,  # typical in-group mean
+                mu1 - (d2 + d_max) / 2.0,  # typical out-group mean
+                in_frac * (d_max - d2),
+                d_max - d2,
+            )
+            pi0[fit], pi1[fit] = compute_priors(
+                group_hat[fit], *(a[fit] for a in args)
+            )
+    # bounded families and inseparable groups use the prior-free midpoint
+    tau = 0.5 * (mu_H_star + mu_L_star)
     sigma2 = env.sigma2
     if sigma2 is not None and separable.any():
+        # A group mean over n plays has variance sigma2 / (g_k n); the
+        # threshold reads K_padded/2 members, so sigma2 is rescaled to match.
+        sigma2_k = np.broadcast_to(sigma2 * (Kp / 2) / g, shape)
         tau[separable] = lrt_threshold_gaussian(
-            mu_H_star[separable, None],
-            mu_L_star[separable, None],
+            mu_H_star[separable],
+            mu_L_star[separable],
             pi0[separable],
             pi1[separable],
             Kp,
             T,
             opts.alpha,
-            sigma2,
+            sigma2_k[separable],
         )
 
     # Phase 2: one scalar observation per group play; one draw per group
     # serves every row of the block.
-    r_bar = np.empty((trials, m))
-    for k, (members, real) in enumerate(zip(code.groups, _real_members(K))):
-        mean_real = env.pull_group_sum(real, n_group, rng, trials) / n_group
-        n_dummy = len(members) - len(real)
-        r_bar[:, k] = (len(real) * mean_real + n_dummy * mu_dummy) / len(members)
+    r_bar = np.empty(shape)
+    for k, members in enumerate(real):
+        r_bar[:, k] = env.pull_group_sum(members, n_group, rng, trials) / n_group
         pulls_used += n_group
     bits = (r_bar > tau).astype(np.int64)
 
@@ -518,10 +475,10 @@ def run_re(
     diag = {
         "prior_mode": opts.prior_mode,
         "alpha": opts.alpha,
-        "separability_flag": ~separable,
+        "separability_flag": ~separable.all(axis=1),
         "groups": groups,
-        "mu_H_star": mu_H_star,
-        "mu_L_star": mu_L_star,
+        "mu_H_star": mu_H_star.min(axis=1),
+        "mu_L_star": mu_L_star[:, 0],
         "decoded_dummy": decoded_dummy,
     }
     return _run("RE", env, T, rec, pulls_used, diag)
@@ -537,7 +494,7 @@ _RUNNERS = {
 
 def run_policy(
     name: str,
-    env: Environment,
+    env: BanditEnv,
     T: int,
     rng: np.random.Generator,
     re_options: ReOptions | None = None,

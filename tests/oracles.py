@@ -27,10 +27,9 @@ from bestarm.errors import (
 from bestarm.grouping import construct_groups, decode_best_arm
 from bestarm.policies import (
     _EPS_GAP,
-    Environment,
+    BanditEnv,
     PolicyRun,
     ReOptions,
-    _padded_endpoints,
     _real_members,
     _sr_logbar,
     compute_priors,
@@ -194,7 +193,7 @@ def radar_energy(block) -> float:
 # sum per trial, so these read entry 0.
 
 
-def run_ue(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
+def run_ue(env: BanditEnv, T: int, rng: np.random.Generator) -> PolicyRun:
     """Uniform exploration: floor(T/K) pulls per arm, recommend best mean."""
     K = env.K
     if T < K:
@@ -211,7 +210,7 @@ def run_ue(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
     )
 
 
-def run_sr(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
+def run_sr(env: BanditEnv, T: int, rng: np.random.Generator) -> PolicyRun:
     """Successive rejects: K-1 phases, reject the worst cumulative mean.
 
     Means change only in phases that pull, so each such phase sorts the arms
@@ -255,7 +254,7 @@ def run_sr(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
     )
 
 
-def run_sh(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
+def run_sh(env: BanditEnv, T: int, rng: np.random.Generator) -> PolicyRun:
     """Sequential halving with fresh per-round pulls.
 
     Rounds with a zero per-arm allocation keep a uniformly random half,
@@ -289,7 +288,7 @@ def run_sh(env: Environment, T: int, rng: np.random.Generator) -> PolicyRun:
 
 
 def run_re(
-    env: Environment,
+    env: BanditEnv,
     T: int,
     rng: np.random.Generator,
     options: ReOptions | None = None,
@@ -318,8 +317,6 @@ def run_re(
         "separability_flag": False,
     }
 
-    mu_dummy = env.dummy_mean() if code.dummy_arms else 0.0
-
     # Phase 1: per-arm estimates (also feeds the fallback recommendation).
     arm_hat = None
     if opts.alpha > 0.0:
@@ -342,53 +339,54 @@ def run_re(
         mu1 = float(top[0])
         d2 = max(float(top[0] - top[1]), _EPS_GAP)
         d_max = max(float(top[0] - top[-1]), _EPS_GAP)
-    if code.dummy_arms:
-        d_max = max(d_max, mu1 - mu_dummy)
-    mu_H_star, mu_L_star = _padded_endpoints(mu1, d2, d_max, Kp)
-
-    separable = mu_H_star > mu_L_star
-    if not separable:
-        diag["separability_flag"] = True
     degenerate = (d_max - d2) <= 0.0
     sigma2 = env.sigma2
-    midpoint = 0.5 * (mu_H_star + mu_L_star)
+    mu_L_star = mu1 - d2
 
-    # Group-mean estimates for the priors (padded membership).
-    group_hat = [None] * m
-    if arm_hat is not None:
-        for k, members in enumerate(code.groups):
-            real = [a for a in members if a <= K]
-            total = sum(arm_hat[a - 1] for a in real)
-            total += (len(members) - len(real)) * mu_dummy
-            group_hat[k] = total / len(members)
-
-    E_muH = mu1 - (1.0 - 2.0 / Kp) * (d2 + d_max) / 2.0
-    E_muL = mu1 - (d2 + d_max) / 2.0
-    len_L1 = (1.0 - 2.0 / Kp) * (d_max - d2)
-    len_L0 = d_max - d2
-
+    # Each group test reads its g real members: the arms of the group in
+    # [1, K]. A group with the best arm has mean at least
+    # mu1 - (1 - 1/g) d_max, one without it at most mu1 - d2.
     groups = []  # priors, threshold and outcome of each group test
-    for k in range(m):
-        if degenerate or group_hat[k] is None:
+    mu_H_stars = []
+    for members in code.groups:
+        real = [a for a in members if a <= K]
+        g = len(real)
+        in_frac = 1.0 - 1.0 / g
+        mu_H_star = mu1 - in_frac * d_max
+        mu_H_stars.append(mu_H_star)
+        separable = mu_H_star > mu_L_star
+        if not separable:
+            diag["separability_flag"] = True
+        group_hat = None
+        if arm_hat is not None:
+            group_hat = sum(arm_hat[a - 1] for a in real) / g
+        if degenerate or group_hat is None or g == 1:
+            # a one-member group's in-group mean is mu1 itself: no interval
             pi0, pi1 = 0.5, 0.5
         else:
-            pi0, pi1 = compute_priors(group_hat[k], E_muH, E_muL, len_L1, len_L0)
+            pi0, pi1 = compute_priors(
+                group_hat,
+                mu1 - in_frac * (d2 + d_max) / 2.0,
+                mu1 - (d2 + d_max) / 2.0,
+                in_frac * (d_max - d2),
+                d_max - d2,
+            )
         if separable and sigma2 is not None:
+            # the group mean over n plays has variance sigma2 / (g n)
             tau = lrt_threshold_gaussian(
-                mu_H_star, mu_L_star, pi0, pi1, Kp, T, opts.alpha, sigma2
+                mu_H_star, mu_L_star, pi0, pi1, Kp, T, opts.alpha,
+                sigma2 * (Kp / 2) / g,
             )
         else:
-            # bounded families and flagged runs use the prior-free midpoint
-            tau = midpoint
-        groups.append({"mu_hat_G": group_hat[k], "pi0": pi0, "pi1": pi1, "tau": tau})
+            # bounded families and inseparable groups use the prior-free midpoint
+            tau = 0.5 * (mu_H_star + mu_L_star)
+        groups.append({"mu_hat_G": group_hat, "pi0": pi0, "pi1": pi1, "tau": tau})
 
     # Phase 2: one scalar observation per group play.
     detections = []
-    for group, members, real in zip(groups, code.groups, _real_members(K)):
+    for group, real in zip(groups, _real_members(K)):
         s = env.pull_group_sum(real, n_group, rng)[0]
-        mean_real = s / n_group
-        n_dummy = len(members) - len(real)
-        r_bar = (len(real) * mean_real + n_dummy * mu_dummy) / len(members)
+        r_bar = s / n_group
         pulls_used += n_group
         group["delta"] = 1 if r_bar > group["tau"] else 0
         group["phase2_mean"] = r_bar
@@ -405,7 +403,7 @@ def run_re(
             rec = max(1, min(K, exc.arm % K))
 
     diag["groups"] = groups
-    diag["mu_H_star"] = mu_H_star
+    diag["mu_H_star"] = min(mu_H_stars)
     diag["mu_L_star"] = mu_L_star
     diag["decoded_dummy"] = decoded_dummy
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import oracles
 from bestarm import (
@@ -26,6 +27,7 @@ from bestarm import (
 from bestarm.casestudies import RadarEnv, RadarScenario, _row_sums
 from bestarm.core import MAX_K, RngStream
 from bestarm.experiments import block_trials, group_mean_distribution, run_cells
+from bestarm.grouping import construct_groups
 from bestarm.policies import run_policy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -156,6 +158,72 @@ def test_batched_error_counts_follow_their_laws(K, budgets):
         assert not implausible(cell.errors, trials, p, p), (
             cell.algorithm, cell.T, cell.errors, p
         )
+
+
+def real_group_sizes(K):
+    return [sum(1 for a in members if a <= K) for members in construct_groups(K).groups]
+
+
+def padded_re_error(K, best, delta, sigma2, T):
+    """RE with oracle priors and alpha = 0 on a single-gap Gaussian instance.
+
+    Group k tests its g_k real members: its mean is mu_1 - (1 - 1/g_k) Delta
+    with the best arm and mu_1 - Delta without, the threshold sits midway,
+    and the group mean over n = floor(T/m) plays has variance
+    sigma2 / (g_k n). So bit k errs with q_k = Q(Delta sqrt(n / (4 g_k sigma2))),
+    independently of the others. Every pattern of the m bits is weighed, and
+    a decode past K falls back to clip(arm % K, 1, K).
+    """
+    m = construct_groups(K).m
+    n = T // m
+    q = [ndtr(-delta * math.sqrt(n / (4 * g * sigma2))) for g in real_group_sizes(K)]
+    p_right = 0.0
+    for pattern in range(2**m):
+        arm = pattern + 1
+        if (arm if arm <= K else min(max(arm % K, 1), K)) != best:
+            continue
+        flips = pattern ^ (best - 1)
+        p_right += math.prod(q[k] if flips >> k & 1 else 1 - q[k] for k in range(m))
+    return 1.0 - p_right
+
+
+# K, T and the best arm; K pads to 16, 32 and 128 arms
+PADDED_LAW_CASES = [(12, 192, 1), (12, 192, 12), (24, 384, 7), (100, 1600, 100)]
+
+
+@pytest.mark.parametrize("K,T,best", PADDED_LAW_CASES)
+def test_padded_re_error_count_follows_its_law(K, T, best):
+    delta, sigma2, trials = 0.5, 0.1, 400
+    means = [0.9 - delta] * K
+    means[best - 1] = 0.9
+    env = BanditEnv(BanditInstance(means=tuple(means), family=Gaussian(sigma2)))
+    (cell,) = run_cells(env, ("RE",), (T,), trials, 0, "padded")
+    p = padded_re_error(K, best, delta, sigma2, T)
+    assert not implausible(cell.errors, trials, p, p), (cell.errors, p)
+
+
+def test_padded_re_threshold_is_each_groups_bayes_threshold():
+    # K = 12 pads to 16 arms: the groups hold 6, 6, 4 and 4 real members.
+    # Close gaps keep every group separable, and a first phase with oracle
+    # endpoints gives priors pi0 != pi1.
+    K, T, alpha, sigma2 = 12, 480, 0.2, 0.1
+    means = (1.0,) + tuple(np.linspace(0.5, 0.45, K - 1))
+    env = BanditEnv(BanditInstance(means=means, family=Gaussian(sigma2)))
+    opts = ReOptions(alpha=alpha, prior_mode="oracle")
+    run = run_policy("RE", env, T, np.random.default_rng(0), opts, trials=64)
+    prof = env.true_gap_profile()
+    mu1, mu_L = prof.sorted_means[0], prof.sorted_means[0] - prof.delta_min
+    m = construct_groups(K).m
+    assert not run.diagnostics["separability_flag"].any()
+    for g, group in zip(real_group_sizes(K), run.diagnostics["groups"]):
+        mu_H = mu1 - (1 - 1 / g) * prof.delta_max
+        v = sigma2 * m / (g * (1 - alpha) * T)  # variance of the group mean
+        pi0, pi1 = group["pi0"], group["pi1"]
+        assert (pi0 != pi1).all()
+        # where pi1 N(x; mu_H, v) = pi0 N(x; mu_L, v)
+        bayes = 0.5 * (mu_H + mu_L) + v * np.log(pi0 / pi1) / (mu_H - mu_L)
+        np.testing.assert_allclose(group["tau"], bayes, rtol=1e-12)
+    assert run.diagnostics["mu_H_star"] == pytest.approx(mu1 - 5 / 6 * prof.delta_max)
 
 
 def test_radar_pull_counts_pulses_once_per_block(monkeypatch):

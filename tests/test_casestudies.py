@@ -28,6 +28,7 @@ from bestarm.casestudies import (
     signal_sample_counts,
 )
 from bestarm.core import MAX_K
+from bestarm.grouping import construct_groups
 from oracles import (
     PulseParams,
     draw_pulse_params,
@@ -88,7 +89,6 @@ def test_jammer_env_means_and_gap():
     assert env.best_arm == 5
     prof = env.true_gap_profile()
     assert prof.gaps == pytest.approx((1.0,) * 8)
-    assert env.dummy_mean() == pytest.approx(-1.0)
     assert env.pull_arms_sum([5], 4, rng())[0] == pytest.approx(4.0)
     assert env.pull_arms_sum([2], 4, rng())[0] == 0.0
     assert env.pull_group_sum({4, 5, 6, 7}, 2, rng()) == pytest.approx(0.5)
@@ -126,6 +126,23 @@ def test_run_jammer_experiment_smoke():
 
 
 # ---------------------------------------------------------------------- radar
+
+
+def test_re_finds_every_jammer_target_on_padded_k():
+    # K = 12 pads to 16 arms. A group of g real waveforms has mean 1/g with
+    # the target and 0 without, under receiver noise nv per play, so a bit
+    # errs with Q((1/(2g)) / sqrt(nv / floor(T/m))), below 1e-12 here.
+    K, T, nv = 12, 64, 0.002
+    code = construct_groups(K)
+    for members in code.groups:
+        g = sum(1 for a in members if a <= K)
+        assert stats.norm.sf(1 / (2 * g) / math.sqrt(nv / (T // code.m))) < 1e-12
+    for j_star in range(1, K + 1):
+        (cell,) = run_jammer_experiment(
+            K=K, noise_grid=(nv,), algorithms=("RE",), T=T, trials=50,
+            master_seed=1, j_star=j_star,
+        )
+        assert cell.errors == 0, j_star
 
 
 def test_radar_scenario_defaults_and_validation():
@@ -315,7 +332,6 @@ def test_radar_env_analytic_means():
     assert prof.delta_min == pytest.approx(sig)
     assert env.sigma2 == pytest.approx(sc.N * 9.0)
     assert env.best_arm == sc.active_channel
-    assert env.dummy_mean() == pytest.approx(sc.N * 3.0 - sig)
 
 
 def test_mean_signal_energy_default_scenario():

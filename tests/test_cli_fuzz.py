@@ -195,6 +195,7 @@ def test_hostile_values_give_one_json_error_or_success(data):
         ["simulate"],
         ["no-such-subcommand"],
         ["bounds", "--instance", "{instance}", "--budgets", "10", "--algorithms", ","],
+        ["bounds", "--instance", "{instance}", "--budgets", "10", "--algorithms", "REfoo"],
         ["simulate", "--config", "{config}"],
     ],
 )

@@ -264,20 +264,6 @@ def test_rng_stream_ids_are_independent():
     assert not np.array_equal(a, b)
 
 
-# --------------------------------------------------------------- dummy mean
-
-
-def test_dummy_mean_sits_below_worst_arm():
-    inst = BanditInstance(means=(1.0, 0.5, 0.2), family=Gaussian(1.0))
-    # worst mean 0.2 minus delta_max 0.8
-    assert BanditEnv(inst).dummy_mean() == pytest.approx(-0.6)
-
-
-def test_dummy_mean_clipped_for_unit_families():
-    inst = BanditInstance(means=(0.9, 0.1, 0.1, 0.1), family=Bernoulli())
-    assert BanditEnv(inst).dummy_mean() == 0.0
-
-
 # ----------------------------------------------------------------- json i/o
 
 

@@ -62,9 +62,6 @@ class CountingEnv:
     def true_gap_profile(self):
         return self._env.true_gap_profile()
 
-    def dummy_mean(self):
-        return self._env.dummy_mean()
-
     def pull_arms_sum(self, arms, n, r):
         for arm in np.ravel(arms):
             self.arm_pulls[int(arm)] = self.arm_pulls.get(int(arm), 0) + n
@@ -333,20 +330,14 @@ def test_re_bounded_family_uses_midpoint():
 
 
 def test_re_padded_instance_noiseless_boundary():
-    # padding pulls the dummy mean to mu_[K] - delta_max, which on a
-    # single-gap instance parks best-arm groups exactly on the midpoint
-    # threshold; the strict > rule then only detects positions whose
-    # groups hold few dummies. Characterize that boundary.
-    recs = []
+    # K = 6 pads to 8 arms; each group test reads only its real members, so
+    # a noiseless single-gap instance is decoded right at every position
     for pos in range(1, 7):
         means = [0.5] * 6
         means[pos - 1] = 1.0
         run = run_re(gaussian_env(means, 0.0), 60, rng())
-        assert 1 <= run.recommended_arm <= 6
-        recs.append((pos, run.correct))
-    assert recs[0] == (1, True)
-    assert recs[1] == (2, True)
-    assert recs[2] == (3, False)
+        assert run.recommended_arm == pos
+        assert not run.diagnostics["decoded_dummy"].any()
 
 
 def test_re_padded_instance_noiseless_with_spread_gaps():
@@ -354,6 +345,16 @@ def test_re_padded_instance_noiseless_with_spread_gaps():
     run = run_re(gaussian_env((0.4, 1.0, 0.55, 0.5, 0.45, 0.6), 0.0), 60, rng())
     assert run.correct and run.recommended_arm == 2
     assert [g["delta"] for g in run.diagnostics["groups"]] == [1, 0, 0]
+
+
+def test_re_one_member_group_keeps_indifferent_priors():
+    # K = 5 pads to 8 arms: the third group holds arm 5 alone, whose in-group
+    # mean is mu_1 itself, so its prior has no interval to ramp over
+    env = gaussian_env((1.0, 0.6, 0.5, 0.45, 0.4), 0.1)
+    run = run_re(env, 400, rng(), ReOptions(alpha=0.2, prior_mode="plugin"))
+    groups = run.diagnostics["groups"]
+    assert groups[2]["pi0"] == groups[2]["pi1"] == 0.5
+    assert (groups[0]["pi0"] != 0.5).all()
 
 
 def test_re_plugin_mode():
@@ -400,9 +401,6 @@ class ScriptedEnv:
             means=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5), family=Gaussian(1.0)
         )
         return gap_profile(inst)
-
-    def dummy_mean(self):
-        return -1.0
 
     def pull_arms_sum(self, arms, n, r):
         return n * np.asarray(self.arm_means, dtype=float)[np.asarray(arms) - 1]

@@ -236,9 +236,6 @@ class SequenceEnv:
     def true_gap_profile(self):
         return self.inner.true_gap_profile()
 
-    def dummy_mean(self):
-        return self.inner.dummy_mean()
-
     def pull_arms_sum(self, arms, n, rng):
         return self.inner.pull_arms_sum(arms, n, rng)
 
