@@ -125,9 +125,6 @@ def test_run_jammer_experiment_smoke():
     assert low["UE"].errors == 0 and low["RE"].errors == 0
 
 
-# ---------------------------------------------------------------------- radar
-
-
 def test_re_finds_every_jammer_target_on_padded_k():
     # K = 12 pads to 16 arms. A group of g real waveforms has mean 1/g with
     # the target and 0 without, under receiver noise nv per play, so a bit
@@ -143,6 +140,9 @@ def test_re_finds_every_jammer_target_on_padded_k():
             master_seed=1, j_star=j_star,
         )
         assert cell.errors == 0, j_star
+
+
+# ---------------------------------------------------------------------- radar
 
 
 def test_radar_scenario_defaults_and_validation():
