@@ -68,7 +68,7 @@ def _write_csv(header, rows, out_path) -> None:
 def _cmd_groups(args):
     code = construct_groups(args.K)
     rows = [
-        [f"G{k + 1}", ";".join(str(a) for a in sorted(members))]
+        [f"G{k + 1}", ";".join(map(str, members.tolist()))]
         for k, members in enumerate(code.groups)
     ]
     return ["group_id", "members"], rows

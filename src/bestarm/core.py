@@ -203,6 +203,19 @@ def _member_indices(instance: BanditInstance, members) -> np.ndarray:
     return _check_arms(instance, arms)
 
 
+def whole_number(value, name: str) -> int:
+    """A JSON whole number: an int, or an integral float such as 64.0.
+
+    Raises ConfigParse for a bool, a non-integral or non-finite float, a
+    string, null or any other value, naming the field `name`.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigParse(f"{name} must be a whole number, got {value!r}")
+
+
 def family_from_json(family_spec) -> Family:
     """Parse the family part of an instance/config JSON payload."""
     if family_spec == "bernoulli":
@@ -227,7 +240,7 @@ def instance_from_json(text: str) -> BanditInstance:
         family_spec = payload["family"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"instance JSON missing/invalid fields: {exc}") from exc
-    if "K" in payload and int(payload["K"]) != len(means):
+    if "K" in payload and whole_number(payload["K"], "K") != len(means):
         raise ConfigParse(
             f"K={payload['K']} does not match {len(means)} means"
         )

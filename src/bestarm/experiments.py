@@ -14,7 +14,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     RngStream,
     family_from_json,
     gap_profile,
+    whole_number,
 )
 from .errors import BestArmError, ConfigParse
 from .hardness import (
@@ -305,16 +306,18 @@ def theoretical_bound(
     """Clipped bound for one algorithm at one budget; None when inapplicable."""
     if hp is None:
         hp = hardness(gap_profile(instance))
-    K, family = instance.K, instance.family
+    K, family, sigma2 = instance.K, "bounded", None
+    if isinstance(instance.family, Gaussian):
+        family, sigma2 = "gaussian", instance.family.sigma2
     try:
         if algorithm == "UE":
-            return bound_ue(family, K, T, hp.H3)
+            return bound_ue(family, K, T, hp.H3, sigma2)
         if algorithm == "SR":
-            return bound_sr(family, K, T, hp.H2)
+            return bound_sr(family, K, T, hp.H2, sigma2)
         if algorithm == "SH":
-            return bound_sh(family, K, T, hp.H2)
+            return bound_sh(family, K, T, hp.H2, sigma2)
         if algorithm.startswith("RE"):
-            return bound_re(family, K, T, hp.H4, hp.eta)
+            return bound_re(family, K, T, hp.H4, hp.eta, sigma2)
     except BestArmError:
         return None
     return None
@@ -384,12 +387,18 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def parse_budgets(text: str) -> tuple[int, ...]:
-    """A budget grid (see parse_grid), each point rounded to the nearest
-    integer and checked by check_budgets."""
-    points = parse_grid(text)
+def parse_budgets(value) -> tuple[int, ...]:
+    """Budgets from a grid string (see parse_grid) or a nonempty list, each
+    a finite number of plays rounded to the nearest integer and checked by
+    check_budgets."""
+    if isinstance(value, str):
+        points = parse_grid(value)
+    elif isinstance(value, list) and value:
+        points = tuple(map(float, value))
+    else:
+        raise ConfigParse("budgets must be a nonempty list or a grid string")
     if not all(map(math.isfinite, points)):
-        raise ConfigParse(f"budgets must be finite, got {text!r}")
+        raise ConfigParse(f"budgets must be finite, got {value!r}")
     budgets = tuple(int(round(v)) for v in points)
     check_budgets(budgets)
     return budgets
@@ -400,33 +409,20 @@ _ALGORITHMS = {"UE", "SR", "SH", "RE"}
 
 def parse_algorithms(names) -> tuple[str, ...]:
     """Algorithm names from a comma list or a JSON list. Raises ConfigParse
-    for no name or a name outside UE, SR, SH and RE."""
+    for no name, a name outside UE, SR, SH and RE, or a name given twice."""
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
     if not isinstance(names, list) or not names:
         raise ConfigParse(f"algorithms must name an algorithm, got {names!r}")
     algorithms = tuple(str(a) for a in names)
-    for a in algorithms:
+    for i, a in enumerate(algorithms):
         if a not in _ALGORITHMS:
             raise ConfigParse(
                 f"unknown algorithm {a!r} (choose from {sorted(_ALGORITHMS)})"
             )
+        if a in algorithms[:i]:
+            raise ConfigParse(f"algorithm {a!r} is named twice")
     return algorithms
-
-
-_CONFIG_KEYS = {"instance", "budgets", "algorithms", "trials", "master_seed", "re_options"}
-_INSTANCE_KEYS = {
-    "K",
-    "generator",
-    "family",
-    "mu_star",
-    "delta_min",
-    "delta_max",
-    "means",
-    "seed",
-    "label",
-}
-_RE_OPTION_KEYS = {"alpha", "prior_mode"}
 
 
 def _canonical_generator(name) -> str:
@@ -437,96 +433,72 @@ def _canonical_generator(name) -> str:
     raise ConfigParse(f"unknown generator {name!r}")
 
 
-def _reject_unknown(payload: dict, allowed: set, what: str) -> None:
-    unknown = set(payload) - allowed
+def _whole(name: str, low: int | None = None):
+    """Converter of a whole-number field, refused below `low`."""
+
+    def convert(value) -> int:
+        n = whole_number(value, name)
+        if low is not None and n < low:
+            raise ConfigParse(f"need {name} >= {low}, got {n}")
+        return n
+
+    return convert
+
+
+def _fields_from_json(cls, payload, what: str) -> dict:
+    """Keyword arguments for the dataclass `cls` from a JSON object.
+
+    Each key must name a field of `cls` and is read by that field's
+    converter; an absent key leaves the field's default to `cls`.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigParse(f"{what} must be a JSON object")
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigParse(f"unknown {what} keys: {sorted(unknown)}")
+    return {name: _CONVERTERS[name](value) for name, value in payload.items()}
+
+
+def _instance(payload) -> InstanceSpec:
+    spec = _fields_from_json(InstanceSpec, payload, "instance")
+    if spec.get("means") is not None:
+        spec.setdefault("K", len(spec["means"]))
+    return InstanceSpec(**spec)
+
+
+# One converter per field name of ExperimentConfig, InstanceSpec and
+# ReOptions; the three share no field name.
+_CONVERTERS = {
+    "instance": _instance,
+    "budgets": parse_budgets,
+    "algorithms": parse_algorithms,
+    "trials": _whole("trials", 1),
+    "master_seed": _whole("master_seed", 0),
+    "re_options": lambda v: ReOptions(**_fields_from_json(ReOptions, v, "re_options")),
+    "K": _whole("K"),
+    "generator": _canonical_generator,
+    "family": family_from_json,
+    "mu_star": float,
+    "delta_min": float,
+    "delta_max": float,
+    "means": lambda v: None if v is None else tuple(float(x) for x in v),
+    "seed": _whole("seed", 0),
+    "label": lambda v: v,
+    "alpha": float,
+    "prior_mode": str,
+}
 
 
 def experiment_config_from_json(text: str) -> ExperimentConfig:
-    """Parse a simulate config; mirrors ExperimentConfig, unknown keys rejected."""
+    """Parse a simulate config. Its keys and defaults are the fields of
+    ExperimentConfig, InstanceSpec and ReOptions; an unknown key, a missing
+    field without a default or a value its converter refuses raises
+    ConfigParse. K defaults to the number of explicit means."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParse(f"invalid config JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigParse("config must be a JSON object")
-    _reject_unknown(payload, _CONFIG_KEYS, "config")
-    for required in ("instance", "budgets"):
-        if required not in payload:
-            raise ConfigParse(f"config missing {required!r}")
-    inst = payload["instance"]
-    if not isinstance(inst, dict):
-        raise ConfigParse("instance must be a JSON object")
-    _reject_unknown(inst, _INSTANCE_KEYS, "instance")
-    if "family" not in inst or "generator" not in inst:
-        raise ConfigParse("instance needs family and generator")
-    family = family_from_json(inst["family"])
-    generator = _canonical_generator(inst["generator"])
-    means = inst.get("means")
-    if means is not None:
-        try:
-            means = tuple(float(x) for x in means)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigParse(f"bad means list: {exc}") from exc
-    if "K" not in inst and means is None:
-        raise ConfigParse("instance needs K (or explicit means)")
-    try:
-        spec = InstanceSpec(
-            K=int(inst["K"]) if "K" in inst else len(means),
-            generator=generator,
-            family=family,
-            mu_star=float(inst.get("mu_star", 1.0)),
-            delta_min=float(inst.get("delta_min", 0.1)),
-            delta_max=float(inst.get("delta_max", 0.1)),
-            means=means,
-            seed=int(inst.get("seed", 0)),
-            label=inst.get("label"),
-        )
+        config = _fields_from_json(ExperimentConfig, json.loads(text), "config")
+        return ExperimentConfig(**config)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"bad instance field: {exc}") from exc
-    budgets_raw = payload["budgets"]
-    if isinstance(budgets_raw, str):
-        budgets = parse_budgets(budgets_raw)
-    elif isinstance(budgets_raw, list) and budgets_raw:
-        try:
-            budgets = tuple(int(v) for v in budgets_raw)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigParse(f"bad budget value: {exc}") from exc
-    else:
-        raise ConfigParse("budgets must be a nonempty list or a grid string")
-    check_budgets(budgets)
-    algorithms = parse_algorithms(payload.get("algorithms", "UE,SR,SH,RE"))
-    re_raw = payload.get("re_options", {})
-    if not isinstance(re_raw, dict):
-        raise ConfigParse("re_options must be a JSON object")
-    _reject_unknown(re_raw, _RE_OPTION_KEYS, "re_options")
-    try:
-        re_options = ReOptions(
-            alpha=float(re_raw.get("alpha", 0.0)),
-            prior_mode=str(re_raw.get("prior_mode", "oracle")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"bad re_options: {exc}") from exc
-    try:
-        trials = int(payload.get("trials", 500))
-        master_seed = int(payload.get("master_seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"bad trials or master_seed: {exc}") from exc
-    if trials < 1:
-        raise ConfigParse(f"need trials >= 1, got {trials}")
-    if master_seed < 0 or spec.seed < 0:
-        raise ConfigParse(
-            f"seeds must be >= 0, got master_seed={master_seed}, seed={spec.seed}"
-        )
-    return ExperimentConfig(
-        instance=spec,
-        budgets=budgets,
-        algorithms=algorithms,
-        trials=trials,
-        master_seed=master_seed,
-        re_options=re_options,
-    )
+        raise ConfigParse(f"bad config: {exc}") from exc
 
 
 @dataclass(frozen=True)

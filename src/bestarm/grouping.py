@@ -1,12 +1,13 @@
-"""Binary arm groups: log2(K) membership sets with Hamming-style decoding.
+"""Binary arm groups: log2(K) groups of arms with Hamming-style decoding.
 
-Arm i belongs to group k exactly when bit k of (i-1) is set, counting bit 1
+Arm a belongs to group k exactly when bit k of (a-1) is set, counting bit 1
 as the least significant place. The m-bit membership pattern of an arm is
-therefore the binary expansion of (i-1), which makes decoding a detection
+therefore the binary expansion of (a-1), which makes decoding a detection
 vector a base-2 read-off. A K that is not a power of two is counted up to
-K_padded, the next one, so every group holds K_padded/2 indices; those past
-K (`dummy_arms`) are arms of no instance, and RE tests each group on its
-members in [1, K] alone.
+K_padded, the next one, so that m = log2(K_padded) bits spell every arm.
+A group holds only the arms in [1, K] whose bit is set; the indices past
+K (`dummy_arms`) are arms of no instance and belong to no group, and a
+decode that lands on one signals a failed group test.
 """
 
 from __future__ import annotations
@@ -14,35 +15,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .core import MAX_K
 from .errors import DecodedDummyArm, IndexOutOfRange, InvalidK
 
 
 @dataclass(frozen=True)
 class GroupCode:
+    """The m groups for K arms, each a sorted read-only int64 array of its
+    members in [1, K], and the padding indices K+1..K_padded."""
+
     K_orig: int
     K_padded: int
     m: int
-    groups: tuple[frozenset[int], ...]
-    dummy_arms: frozenset[int]
+    groups: tuple[np.ndarray, ...]
+    dummy_arms: range
 
 
 @lru_cache(maxsize=64)
 def construct_groups(K: int) -> GroupCode:
-    """Build the log2(K_padded) groups over a possibly padded arm set.
+    """Build the log2(K_padded) groups over arms 1..K.
 
-    Memoised per K: a GroupCode is immutable, so every caller can share one.
-    Raises InvalidK for K outside [2, MAX_K].
+    Memoised per K: a GroupCode and its arrays are read-only, so every
+    caller can share one. Raises InvalidK for K outside [2, MAX_K].
     """
     if not 2 <= K <= MAX_K:
         raise InvalidK(f"need 2 <= K <= {MAX_K}, got {K}")
     K_padded = 2 ** (K - 1).bit_length()
     m = K_padded.bit_length() - 1
-    groups = tuple(
-        frozenset(i for i in range(1, K_padded + 1) if (i - 1) >> k & 1)
-        for k in range(m)
-    )
-    dummy_arms = frozenset(range(K + 1, K_padded + 1))
+    arms = np.arange(1, K + 1, dtype=np.int64)
+    groups = tuple(arms[(arms - 1) >> k & 1 == 1] for k in range(m))
+    for members in groups:
+        members.flags.writeable = False
+    dummy_arms = range(K + 1, K_padded + 1)
     return GroupCode(
         K_orig=K, K_padded=K_padded, m=m, groups=groups, dummy_arms=dummy_arms
     )
@@ -69,6 +75,6 @@ def decode_best_arm(code: GroupCode, detections) -> int:
     if any(b not in (0, 1) for b in detections):
         raise IndexOutOfRange(f"detection bits must be 0/1, got {detections}")
     arm = 1 + sum(b << k for k, b in enumerate(detections))
-    if arm in code.dummy_arms:
+    if arm > code.K_orig:
         raise DecodedDummyArm(arm)
     return arm

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundedUnit, Bernoulli, Family, Gaussian, GapProfile
+from .core import GapProfile
 from .errors import BudgetTooSmall, InvalidK, SeparabilityViolated
 
 @dataclass(frozen=True)
@@ -74,21 +74,13 @@ def q_function(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _bound_family(family, sigma2: float | None) -> tuple[str, float | None]:
-    if isinstance(family, Gaussian):
-        s2 = family.sigma2 if sigma2 is None else sigma2
-        if s2 <= 0:
-            raise InvalidK("gaussian bounds need sigma2 > 0")
-        return "gaussian", s2
-    if isinstance(family, (Bernoulli, BoundedUnit)):
-        return "bounded", None
-    if family == "gaussian":
-        if sigma2 is None or sigma2 <= 0:
-            raise InvalidK("gaussian bounds need sigma2 > 0")
-        return "gaussian", sigma2
-    if family == "bounded":
-        return "bounded", None
-    raise InvalidK(f"unknown reward family {family!r}")
+def _check_family(family: str, sigma2: float | None) -> None:
+    """Refuse a family other than "gaussian" and "bounded", and a gaussian
+    one without a variance sigma2 > 0."""
+    if family not in ("gaussian", "bounded"):
+        raise InvalidK(f"unknown reward family {family!r}")
+    if family == "gaussian" and (sigma2 is None or sigma2 <= 0):
+        raise InvalidK("gaussian bounds need sigma2 > 0")
 
 
 def _finish(logv):
@@ -99,18 +91,18 @@ def _finish(logv):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def log_bound_ue(family: Family | str, K: int, T, H3: float, sigma2: float | None = None):
+def log_bound_ue(family: str, K: int, T, H3: float, sigma2: float | None = None):
     """Natural log of the uniform-exploration error bound."""
-    kind, s2 = _bound_family(family, sigma2)
+    _check_family(family, sigma2)
     T = np.asarray(T, dtype=float)
-    if kind == "bounded":
+    if family == "bounded":
         out = math.log(K - 1) - T / (2.0 * H3)
     else:
         with np.errstate(divide="ignore"):
             out = (
                 math.log(K - 1)
-                + 0.5 * (np.log(H3 * s2) - np.log(math.pi * T))
-                - T / (4.0 * H3 * s2)
+                + 0.5 * (np.log(H3 * sigma2) - np.log(math.pi * T))
+                - T / (4.0 * H3 * sigma2)
             )
     return float(out) if np.ndim(out) == 0 else out
 
@@ -119,21 +111,21 @@ def bound_ue(family, K, T, H3, sigma2=None):
     return _finish(log_bound_ue(family, K, T, H3, sigma2))
 
 
-def log_bound_sr(family: Family | str, K: int, T, H2: float, sigma2: float | None = None):
+def log_bound_sr(family: str, K: int, T, H2: float, sigma2: float | None = None):
     """Natural log of the successive-rejects bound; needs T > K."""
-    kind, s2 = _bound_family(family, sigma2)
+    _check_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     if np.any(T <= K):
         raise BudgetTooSmall(f"SR bound needs T > K={K}")
     lead = math.log(K * (K - 1) / 2.0)
     lnK = math.log(K)
-    if kind == "bounded":
+    if family == "bounded":
         out = lead - (T - K) / (lnK * H2)
     else:
         out = (
             lead
-            + 0.5 * (np.log(H2 * s2 * lnK) - np.log(2.0 * math.pi * (T - K)))
-            - (T - K) / (2.0 * H2 * s2 * lnK)
+            + 0.5 * (np.log(H2 * sigma2 * lnK) - np.log(2.0 * math.pi * (T - K)))
+            - (T - K) / (2.0 * H2 * sigma2 * lnK)
         )
     return float(out) if np.ndim(out) == 0 else out
 
@@ -142,20 +134,20 @@ def bound_sr(family, K, T, H2, sigma2=None):
     return _finish(log_bound_sr(family, K, T, H2, sigma2))
 
 
-def log_bound_sh(family: Family | str, K: int, T, H2: float, sigma2: float | None = None):
+def log_bound_sh(family: str, K: int, T, H2: float, sigma2: float | None = None):
     """Natural log of the sequential-halving bound."""
-    kind, s2 = _bound_family(family, sigma2)
+    _check_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     m = math.log2(K)
     lead = math.log(3.0 * m)
-    if kind == "bounded":
+    if family == "bounded":
         out = lead - T / (8.0 * H2 * m)
     else:
         with np.errstate(divide="ignore"):
             out = (
                 lead
-                + 0.5 * (np.log(2.0 * H2 * s2 * m) - np.log(math.pi * T))
-                - T / (8.0 * H2 * s2 * m)
+                + 0.5 * (np.log(2.0 * H2 * sigma2 * m) - np.log(math.pi * T))
+                - T / (8.0 * H2 * sigma2 * m)
             )
     return float(out) if np.ndim(out) == 0 else out
 
@@ -165,7 +157,7 @@ def bound_sh(family, K, T, H2, sigma2=None):
 
 
 def log_bound_re(
-    family: Family | str,
+    family: str,
     K: int,
     T,
     H4: float,
@@ -178,17 +170,17 @@ def log_bound_re(
         raise InvalidK(f"RE bound needs a power-of-two K, got {K}")
     if eta is None or not 0.0 < eta <= 1.0:
         raise SeparabilityViolated(f"RE bound needs eta in (0,1], got {eta}")
-    kind, s2 = _bound_family(family, sigma2)
+    _check_family(family, sigma2)
     T = np.asarray(T, dtype=float)
     m = math.log2(K)
-    if kind == "bounded":
+    if family == "bounded":
         scale = 8.0 * H4 * K * m * (0.5 + 1.0 / (6.0 * math.sqrt(H4)))
         out = math.log(m) - eta * T / scale
     else:
         with np.errstate(divide="ignore"):
             out = (
-                0.5 * (np.log(4.0 * H4 * s2 * K * m**3) - np.log(math.pi * eta * T))
-                - eta * T / (16.0 * H4 * s2 * K * m)
+                0.5 * (np.log(4.0 * H4 * sigma2 * K * m**3) - np.log(math.pi * eta * T))
+                - eta * T / (16.0 * H4 * sigma2 * K * m)
             )
     return float(out) if np.ndim(out) == 0 else out
 

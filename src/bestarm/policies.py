@@ -329,18 +329,6 @@ def run_sh(
     return _run("SH", env, T, alive[:, 0], pulls_used)
 
 
-@lru_cache(maxsize=64)
-def _real_members(K: int) -> tuple[np.ndarray, ...]:
-    """Each group's real members, the arms in [1, K], as a sorted read-only
-    array; the padding arms K+1..K_padded belong to no test."""
-    out = []
-    for members in construct_groups(K).groups:
-        arr = np.array(sorted(a for a in members if a <= K), dtype=np.int64)
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
-
-
 def run_re(
     env: BanditEnv,
     T: int,
@@ -373,8 +361,7 @@ def run_re(
             f"RE needs (1-alpha)*T >= {m} group pulls, got T={T}"
         )
     pulls_used = 0
-    real = _real_members(K)
-    g = np.array([len(members) for members in real], dtype=float)
+    g = np.array([len(members) for members in code.groups], dtype=float)
     in_frac = 1.0 - 1.0 / g  # (m,): the in-group share of Delta_max
 
     # Phase 1: per-arm estimates (also feeds the fallback recommendation).
@@ -411,7 +398,7 @@ def run_re(
     group_hat = None
     if arm_hat is not None:
         group_hat = np.stack(
-            [arm_hat[:, members - 1].sum(axis=1) for members in real], axis=1
+            [arm_hat[:, members - 1].sum(axis=1) for members in code.groups], axis=1
         ) / g
         # Priors follow the group-mean estimates except in rows whose gaps
         # leave no interval, and in groups of one real member, whose
@@ -448,7 +435,7 @@ def run_re(
     # Phase 2: one scalar observation per group play; one draw per group
     # serves every row of the block.
     r_bar = np.empty(shape)
-    for k, members in enumerate(real):
+    for k, members in enumerate(code.groups):
         r_bar[:, k] = env.pull_group_sum(members, n_group, rng, trials) / n_group
         pulls_used += n_group
     bits = (r_bar > tau).astype(np.int64)

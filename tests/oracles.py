@@ -30,7 +30,6 @@ from bestarm.policies import (
     BanditEnv,
     PolicyRun,
     ReOptions,
-    _real_members,
     _sr_logbar,
     compute_priors,
     lrt_threshold_gaussian,
@@ -343,13 +342,13 @@ def run_re(
     sigma2 = env.sigma2
     mu_L_star = mu1 - d2
 
-    # Each group test reads its g real members: the arms of the group in
-    # [1, K]. A group with the best arm has mean at least
+    # Group k tests its g real members: the arms a in [1, K] with bit k of
+    # a - 1 set. A group with the best arm has mean at least
     # mu1 - (1 - 1/g) d_max, one without it at most mu1 - d2.
     groups = []  # priors, threshold and outcome of each group test
+    reals = [[a for a in range(1, K + 1) if (a - 1) >> k & 1] for k in range(m)]
     mu_H_stars = []
-    for members in code.groups:
-        real = [a for a in members if a <= K]
+    for real in reals:
         g = len(real)
         in_frac = 1.0 - 1.0 / g
         mu_H_star = mu1 - in_frac * d_max
@@ -384,7 +383,7 @@ def run_re(
 
     # Phase 2: one scalar observation per group play.
     detections = []
-    for group, real in zip(groups, _real_members(K)):
+    for group, real in zip(groups, reals):
         s = env.pull_group_sum(real, n_group, rng)[0]
         r_bar = s / n_group
         pulls_used += n_group

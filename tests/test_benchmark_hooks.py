@@ -1,0 +1,25 @@
+"""The benchmark in perfbench/ still runs against this source tree.
+
+perfbench wraps names of the package (experiments.run_policy,
+policies.construct_groups, policies.decode_best_arm and
+RadarEnv.pull_arm_sum) to time its layers. A change that deletes one of
+them breaks the benchmark; one short traced radar run shows it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def test_traced_radar_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "radar", "--seed", "0",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, proc.stdout

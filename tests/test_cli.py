@@ -47,6 +47,12 @@ def test_groups_k8(capsys):
     assert rows[3] == ["G3", "5;6;7;8"]
 
 
+def test_groups_k6_lists_only_real_arms(capsys):
+    status, out, err = run_cli(capsys, ["groups", "--K", "6"])
+    assert status == 0 and err == ""
+    assert read_csv_text(out)[1:] == [["G1", "2;4;6"], ["G2", "3;4"], ["G3", "5;6"]]
+
+
 def test_groups_rejects_k1(capsys):
     status, out, err = run_cli(capsys, ["groups", "--K", "1"])
     assert status == 1 and out == ""
@@ -117,6 +123,19 @@ def test_bounds_blank_for_unpadded_group_bound(capsys, tmp_path):
     assert status == 0
     rows = read_csv_text(out)
     assert rows[1] == ["RE", "40", ""]
+
+
+@pytest.mark.parametrize("subcommand", ["hardness", "bounds"])
+@pytest.mark.parametrize("K", ["x", None, 2.5])
+def test_instance_file_k_not_a_whole_number_exits_2(capsys, tmp_path, subcommand, K):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"K": K, "means": [1.0, 0.5], "family": "bernoulli"}))
+    argv = [subcommand, "--instance", str(path)]
+    if subcommand == "bounds":
+        argv += ["--budgets", "40"]
+    out_path = tmp_path / "out.csv"
+    status, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
 
 
 def test_bounds_rejects_unknown_algorithm(capsys, tmp_path):
@@ -361,7 +380,18 @@ def test_hardness_nan_mean_fails(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "override",
-    [{"trials": "many"}, {"master_seed": -1}, {"re_options": {"eta_override": 0.5}}],
+    [
+        {"trials": "many"},
+        {"master_seed": -1},
+        {"re_options": {"eta_override": 0.5}},
+        # whole numbers: neither truncated nor read as one trial
+        {"trials": 1.5},
+        {"trials": True},
+        {"master_seed": 2.7},
+        {"instance": {**SIM_CONFIG["instance"], "seed": 1.2}},
+        {"instance": {**SIM_CONFIG["instance"], "K": 4.9}},
+        {"algorithms": "UE,UE"},
+    ],
 )
 def test_simulate_bad_config_value_exits_2(capsys, tmp_path, override):
     cfg = tmp_path / "config.json"

@@ -196,6 +196,7 @@ def test_hostile_values_give_one_json_error_or_success(data):
         ["no-such-subcommand"],
         ["bounds", "--instance", "{instance}", "--budgets", "10", "--algorithms", ","],
         ["bounds", "--instance", "{instance}", "--budgets", "10", "--algorithms", "REfoo"],
+        ["bounds", "--instance", "{instance}", "--budgets", "10", "--algorithms", "UE,UE"],
         ["simulate", "--config", "{config}"],
     ],
 )

@@ -292,6 +292,11 @@ def test_instance_json_rejects_bad_payloads():
         instance_from_json('{"means": [0.1, 0.9], "family": "cauchy"}')
     with pytest.raises(ConfigParse):
         instance_from_json('{"means": [0.1, 0.9], "family": {"gaussian": {}}}')
+    # K must be a whole number: neither truncated nor a traceback
+    for K in ('"x"', "null", "2.5", "true"):
+        with pytest.raises(ConfigParse):
+            instance_from_json(f'{{"K": {K}, "means": [0.1, 0.9], "family": "bernoulli"}}')
+    assert instance_from_json('{"K": 2.0, "means": [0.1, 0.9], "family": "bernoulli"}').K == 2
 
 
 @settings(max_examples=30)

@@ -30,6 +30,7 @@ from bestarm import BanditEnv, ReOptions, experiments
 from bestarm.core import MAX_K
 from bestarm.experiments import (
     generate_instance,
+    parse_budgets,
     result_rows,
     run_cells,
     wilson_interval,
@@ -347,6 +348,30 @@ def test_config_infers_k_from_explicit_means():
     assert cfg.instance.means == (0.9, 0.1, 0.5)
 
 
+def test_config_whole_numbers_take_integral_floats_and_budget_lists_round():
+    cfg = experiment_config_from_json(
+        '{"instance": {"K": 64.0, "generator": "single_gap", "family": "bernoulli",'
+        ' "seed": 3.0}, "budgets": [8.7, 100.0], "trials": 5.0, "master_seed": 2.0}'
+    )
+    assert (cfg.instance.K, cfg.instance.seed, cfg.trials, cfg.master_seed) == (
+        64, 3, 5, 2
+    )
+    assert all(type(v) is int for v in (cfg.instance.K, cfg.trials, cfg.master_seed))
+    # a list entry rounds as a grid point does
+    assert cfg.budgets == (9, 100) == parse_budgets("8.7,100")
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    cfg = experiment_config_from_json(
+        '{"instance": {"K": 4, "generator": "single_gap", "family": "bernoulli"},'
+        ' "budgets": [10]}'
+    )
+    assert cfg == ExperimentConfig(
+        instance=InstanceSpec(K=4, generator="single_gap", family=Bernoulli()),
+        budgets=(10,),
+    )
+
+
 def test_config_rejections():
     bad = [
         "not json",
@@ -378,6 +403,22 @@ def test_config_rejections():
         ' "family": "bernoulli"}, "budgets": [10]}',
         '{"instance": {"generator": "single_gap",'
         ' "family": "bernoulli"}, "budgets": [10]}',
+        '{"instance": {"generator": "explicit", "family": "bernoulli",'
+        ' "means": 5}, "budgets": [10]}',
+        '{"instance": {"K": 4, "generator": "single_gap",'
+        ' "family": "bernoulli"}, "budgets": [10], "algorithms": "SR,RE,SR"}',
+    ] + [
+        # a whole-number field refuses bools, fractions, non-finite values,
+        # strings and null
+        '{"instance": {"K": 4, "generator": "single_gap", "family": "bernoulli"},'
+        f' "budgets": [10], {field}: {value}}}'
+        for field in ('"trials"', '"master_seed"')
+        for value in ("true", "1.5", "NaN", "Infinity", '"3"', "null")
+    ] + [
+        '{"instance": {"K": 4, "generator": "single_gap", "family": "bernoulli",'
+        f' {field}: {value}}}, "budgets": [10]}}'
+        for field in ('"K"', '"seed"')
+        for value in ("false", "4.9", "-Infinity", '"4"', "null")
     ]
     for text in bad:
         with pytest.raises(ConfigParse):

@@ -1,5 +1,6 @@
 """Binary group construction, detection patterns, and decoding."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,30 +10,39 @@ from bestarm.core import MAX_K
 from bestarm.grouping import decode_best_arm, detection_pattern
 
 
+def members(code):
+    return [g.tolist() for g in code.groups]
+
+
 def test_groups_k4():
     code = construct_groups(4)
     assert code.K_orig == 4
     assert code.K_padded == 4
     assert code.m == 2
-    assert code.groups == (frozenset({2, 4}), frozenset({3, 4}))
-    assert code.dummy_arms == frozenset()
+    assert members(code) == [[2, 4], [3, 4]]
+    assert not code.dummy_arms
 
 
 def test_groups_k8():
     code = construct_groups(8)
-    assert code.groups == (
-        frozenset({2, 4, 6, 8}),
-        frozenset({3, 4, 7, 8}),
-        frozenset({5, 6, 7, 8}),
-    )
+    assert members(code) == [[2, 4, 6, 8], [3, 4, 7, 8], [5, 6, 7, 8]]
 
 
 def test_groups_k6_padded():
+    # the groups of K = 8 without arms 7 and 8, which no instance has
     code = construct_groups(6)
     assert code.K_padded == 8
     assert code.m == 3
-    assert code.dummy_arms == frozenset({7, 8})
-    assert code.groups == construct_groups(8).groups
+    assert list(code.dummy_arms) == [7, 8]
+    assert members(code) == [[2, 4, 6], [3, 4], [5, 6]]
+
+
+def test_groups_follow_the_bit_rule():
+    for K in range(2, 301):
+        code = construct_groups(K)
+        for k, group in enumerate(code.groups):
+            assert group.dtype == np.int64 and not group.flags.writeable
+            assert group.tolist() == [a for a in range(1, K + 1) if (a - 1) >> k & 1]
 
 
 def test_groups_invalid_k():
@@ -42,9 +52,12 @@ def test_groups_invalid_k():
 
 
 def test_group_sizes_are_half_of_padded():
-    for k in range(2, 130):
-        code = construct_groups(k)
-        assert all(len(g) == code.K_padded // 2 for g in code.groups)
+    # with the padding indices whose bit is set, each group is half of K_padded
+    for K in range(2, 130):
+        code = construct_groups(K)
+        for k, group in enumerate(code.groups):
+            padding = sum(1 for a in code.dummy_arms if (a - 1) >> k & 1)
+            assert len(group) + padding == code.K_padded // 2
 
 
 def test_minimality_of_group_count():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bestarm import (
     BanditInstance,
-    Bernoulli,
     BudgetTooSmall,
     Gaussian,
     InvalidK,
@@ -146,13 +145,6 @@ def test_bound_ue_gaussian_cross_check():
         -T / (4 * hp.H3 * s2)
     )
     assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_bound_ue_accepts_family_objects():
-    assert bound_ue(Bernoulli(), 2, 16, 8.0) == pytest.approx(math.exp(-1), rel=1e-9)
-    assert bound_ue(Gaussian(0.5), 8, 64, 32.0) == pytest.approx(
-        bound_ue("gaussian", 8, 64, 32.0, 0.5), rel=1e-12
-    )
 
 
 def test_bound_sh_bounded_spot_clips_to_one():
