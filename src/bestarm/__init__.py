@@ -16,7 +16,6 @@ from .core import (
     BoundedUnit,
     Gaussian,
     gap_profile,
-    instance_from_json,
 )
 from .errors import (
     BestArmError,
@@ -43,6 +42,7 @@ from .experiments import (
     experiment_config_from_json,
     group_mean_distribution,
     group_mean_distribution_rows,
+    instance_from_json,
     parse_grid,
     result_rows,
     run_experiment,
@@ -56,7 +56,6 @@ from .casestudies import (
 
 __all__ = [
     "BanditInstance", "Bernoulli", "BoundedUnit", "Gaussian", "gap_profile",
-    "instance_from_json",
     "BestArmError", "BudgetTooSmall", "ConfigParse", "CsvFormatError",
     "DecodedDummyArm", "DegenerateInterval", "DuplicateBestArm", "EmptyGroup",
     "IndexOutOfRange", "InvalidK", "IoFailure",
@@ -65,8 +64,8 @@ __all__ = [
     "BanditEnv", "ReOptions", "run_policy",
     "RESULT_COLUMNS", "ExperimentConfig", "InstanceSpec",
     "experiment_config_from_json", "group_mean_distribution",
-    "group_mean_distribution_rows", "parse_grid", "result_rows", "run_experiment",
-    "theoretical_bound",
+    "group_mean_distribution_rows", "instance_from_json", "parse_grid",
+    "result_rows", "run_experiment", "theoretical_bound",
     "RadarScenario", "run_jammer_experiment", "run_radar_experiment",
 ]
 

@@ -20,13 +20,14 @@ from .casestudies import (
     run_radar_experiment,
     seeded_radar_scenario,
 )
-from .core import gap_profile, instance_from_json
+from .core import gap_profile
 from .errors import BestArmError, ConfigParse, IoFailure
 from .experiments import (
     RESULT_COLUMNS,
     experiment_config_from_json,
     group_mean_distribution,
     group_mean_distribution_rows,
+    instance_from_json,
     parse_algorithms,
     parse_budgets,
     parse_grid,

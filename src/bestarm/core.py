@@ -11,7 +11,6 @@ Arms are 1-indexed throughout the public API. Reward families:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConfigParse,
     DuplicateBestArm,
     EmptyGroup,
     IndexOutOfRange,
@@ -95,7 +93,7 @@ class BanditInstance:
         winners = np.flatnonzero(arr == top)
         if winners.size != 1:
             raise DuplicateBestArm(
-                f"max mean {top} attained by arms {list(winners + 1)}"
+                f"max mean {top} attained by arms {(winners + 1).tolist()}"
             )
         return int(winners[0]) + 1
 
@@ -201,47 +199,3 @@ def _member_indices(instance: BanditInstance, members) -> np.ndarray:
     if (arms[1:] == arms[:-1]).any():
         arms = np.unique(arms)
     return _check_arms(instance, arms)
-
-
-def whole_number(value, name: str) -> int:
-    """A JSON whole number: an int, or an integral float such as 64.0.
-
-    Raises ConfigParse for a bool, a non-integral or non-finite float, a
-    string, null or any other value, naming the field `name`.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigParse(f"{name} must be a whole number, got {value!r}")
-
-
-def family_from_json(family_spec) -> Family:
-    """Parse the family part of an instance/config JSON payload."""
-    if family_spec == "bernoulli":
-        return Bernoulli()
-    if family_spec == "bounded":
-        return BoundedUnit()
-    if isinstance(family_spec, dict) and "gaussian" in family_spec:
-        try:
-            return Gaussian(float(family_spec["gaussian"]["sigma2"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigParse(f"bad gaussian family spec: {exc}") from exc
-    raise ConfigParse(f"unknown family spec: {family_spec!r}")
-
-
-def instance_from_json(text: str) -> BanditInstance:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParse(f"invalid instance JSON: {exc}") from exc
-    try:
-        means = [float(x) for x in payload["means"]]
-        family_spec = payload["family"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"instance JSON missing/invalid fields: {exc}") from exc
-    if "K" in payload and whole_number(payload["K"], "K") != len(means):
-        raise ConfigParse(
-            f"K={payload['K']} does not match {len(means)} means"
-        )
-    return BanditInstance(means=tuple(means), family=family_from_json(family_spec))

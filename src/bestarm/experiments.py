@@ -13,8 +13,10 @@ import itertools
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +28,7 @@ from .core import (
     Family,
     Gaussian,
     RngStream,
-    family_from_json,
     gap_profile,
-    whole_number,
 )
 from .errors import BestArmError, ConfigParse
 from .hardness import (
@@ -394,7 +394,7 @@ def parse_budgets(value) -> tuple[int, ...]:
     if isinstance(value, str):
         points = parse_grid(value)
     elif isinstance(value, list) and value:
-        points = tuple(map(float, value))
+        points = tuple(real_number(v, "budgets entry") for v in value)
     else:
         raise ConfigParse("budgets must be a nonempty list or a grid string")
     if not all(map(math.isfinite, points)):
@@ -433,16 +433,44 @@ def _canonical_generator(name) -> str:
     raise ConfigParse(f"unknown generator {name!r}")
 
 
-def _whole(name: str, low: int | None = None):
-    """Converter of a whole-number field, refused below `low`."""
+def whole_number(value, name: str, low: int | None = None) -> int:
+    """A JSON whole number, an int or an integral float such as 64.0.
 
-    def convert(value) -> int:
-        n = whole_number(value, name)
-        if low is not None and n < low:
-            raise ConfigParse(f"need {name} >= {low}, got {n}")
-        return n
+    Raises ConfigParse, naming the field `name`, for a bool, a non-integral
+    or non-finite float, a string, null or any other value, and for a
+    number below `low`.
+    """
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigParse(f"{name} must be a whole number, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigParse(f"need {name} >= {low}, got {value}")
+    return value
 
-    return convert
+
+def real_number(value, name: str) -> float:
+    """A finite JSON number, an int or a float, as a float. Raises ConfigParse
+    for a bool, a non-finite value, a string, null or any other value."""
+    # the comparison is exact for any int, and false for NaN
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigParse(f"{name} must be a finite number, got {value!r}")
+
+
+def _label(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigParse(f"label must be a string or null, got {value!r}")
+    return value
+
+
+def _family(spec) -> Family:
+    """A family: "bernoulli", "bounded" or {"gaussian": {"sigma2": ...}}."""
+    if isinstance(spec, dict) and set(spec) == {"gaussian"}:
+        return Gaussian(**_fields_from_json(Gaussian, spec["gaussian"], "gaussian"))
+    if spec not in ("bernoulli", "bounded"):
+        raise ConfigParse(f"unknown family spec: {spec!r}")
+    return Bernoulli() if spec == "bernoulli" else BoundedUnit()
 
 
 def _fields_from_json(cls, payload, what: str) -> dict:
@@ -466,39 +494,58 @@ def _instance(payload) -> InstanceSpec:
     return InstanceSpec(**spec)
 
 
-# One converter per field name of ExperimentConfig, InstanceSpec and
-# ReOptions; the three share no field name.
+# One converter per field name of ExperimentConfig, InstanceSpec, ReOptions
+# and Gaussian; the four share no field name.
 _CONVERTERS = {
     "instance": _instance,
     "budgets": parse_budgets,
     "algorithms": parse_algorithms,
-    "trials": _whole("trials", 1),
-    "master_seed": _whole("master_seed", 0),
+    "trials": partial(whole_number, name="trials", low=1),
+    "master_seed": partial(whole_number, name="master_seed", low=0),
     "re_options": lambda v: ReOptions(**_fields_from_json(ReOptions, v, "re_options")),
-    "K": _whole("K"),
+    "K": partial(whole_number, name="K"),
     "generator": _canonical_generator,
-    "family": family_from_json,
-    "mu_star": float,
-    "delta_min": float,
-    "delta_max": float,
-    "means": lambda v: None if v is None else tuple(float(x) for x in v),
-    "seed": _whole("seed", 0),
-    "label": lambda v: v,
-    "alpha": float,
+    "family": _family,
+    "mu_star": partial(real_number, name="mu_star"),
+    "delta_min": partial(real_number, name="delta_min"),
+    "delta_max": partial(real_number, name="delta_max"),
+    "means": lambda v: v if v is None else tuple(real_number(m, "means entry") for m in v),
+    "seed": partial(whole_number, name="seed", low=0),
+    "label": _label,
+    "alpha": partial(real_number, name="alpha"),
     "prior_mode": str,
+    "sigma2": partial(real_number, name="sigma2"),
 }
+
+
+def _from_json(text: str, what: str, read):
+    """read(payload) of the JSON text, with a TypeError or ValueError on the
+    way, such as a missing field, raised as ConfigParse."""
+    try:
+        return read(json.loads(text))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParse(f"bad {what}: {exc}") from exc
 
 
 def experiment_config_from_json(text: str) -> ExperimentConfig:
     """Parse a simulate config. Its keys and defaults are the fields of
-    ExperimentConfig, InstanceSpec and ReOptions; an unknown key, a missing
-    field without a default or a value its converter refuses raises
-    ConfigParse. K defaults to the number of explicit means."""
-    try:
-        config = _fields_from_json(ExperimentConfig, json.loads(text), "config")
-        return ExperimentConfig(**config)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"bad config: {exc}") from exc
+    ExperimentConfig, InstanceSpec, ReOptions and Gaussian; an unknown key,
+    a missing field without a default or a value its converter refuses
+    raises ConfigParse. K defaults to the number of explicit means."""
+    return _from_json(
+        text,
+        "config",
+        lambda p: ExperimentConfig(**_fields_from_json(ExperimentConfig, p, "config")),
+    )
+
+
+def instance_from_json(text: str) -> BanditInstance:
+    """Parse an instance file: a config's instance block, explicit by default."""
+    return _from_json(
+        text,
+        "instance",
+        lambda p: generate_instance(_instance({"generator": "explicit", **p})),
+    )
 
 
 @dataclass(frozen=True)

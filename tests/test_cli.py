@@ -81,6 +81,24 @@ def test_hardness_single_gap_row(capsys, tmp_path):
     assert float(vals["KH4"]) * 4 == 16.0
     assert float(vals["eta"]) == 1.0
 
+    # a generated instance block is an instance file too: its row matches
+    # the explicit file of the same means
+    explicit = gaussian_instance_file(tmp_path, (1.0,) + (0.5,) * 7, 0.1)
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps({
+        "K": 8,
+        "generator": "single_gap",
+        "family": {"gaussian": {"sigma2": 0.1}},
+        "delta_min": 0.5,
+        "delta_max": 0.5,
+    }))
+    runs = [
+        run_cli(capsys, ["hardness", "--instance", path])
+        for path in (explicit, str(generated))
+    ]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+    assert read_csv_text(runs[0][1])[1][:2] == ["8", "32.0"]
+
 
 def test_hardness_missing_file(capsys, tmp_path):
     status, out, err = run_cli(
@@ -375,7 +393,11 @@ def test_hardness_nan_mean_fails(capsys, tmp_path):
     status, out, err = run_cli(
         capsys, ["hardness", "--instance", str(path), "--out", str(out_path)]
     )
-    assert_one_error(status, out, err, "SupportViolation", out_path)
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+
+
+def with_instance(**fields):
+    return {"instance": {**SIM_CONFIG["instance"], **fields}}
 
 
 @pytest.mark.parametrize(
@@ -391,6 +413,20 @@ def test_hardness_nan_mean_fails(capsys, tmp_path):
         {"instance": {**SIM_CONFIG["instance"], "seed": 1.2}},
         {"instance": {**SIM_CONFIG["instance"], "K": 4.9}},
         {"algorithms": "UE,UE"},
+        # every number a finite JSON number, every object read key by key
+        with_instance(family={"gaussian": {"sigma2": "0.1"}}),
+        with_instance(family={"gaussian": {"sigma2": True}}),
+        with_instance(family={"gaussian": {"sigma2": float("nan")}}),
+        with_instance(family={"gaussian": {"sigma2": 0.1, "typo": 5}}),
+        with_instance(family={"gaussian": {"sigma2": 0.1}, "extra": 1}),
+        with_instance(mu_star="0.9"),
+        with_instance(mu_star=float("nan")),
+        with_instance(generator="explicit", means=[float("nan"), 1.0, 0.5, 0.5]),
+        {"re_options": {"alpha": "0.5", "prior_mode": "plugin"}},
+        {"budgets": [True]},
+        {"budgets": ["8"]},
+        with_instance(label=[1]),
+        with_instance(label=7),
     ],
 )
 def test_simulate_bad_config_value_exits_2(capsys, tmp_path, override):

@@ -55,8 +55,8 @@ def cli_args(draw, workdir: Path):
     ]))
     # one flag of the call (or none) takes a hostile value, so that the
     # others let the run reach the code that must refuse it
-    hostile_slot = draw(st.integers(0, 6))
-    slots = iter(range(7))
+    hostile_slot = draw(st.integers(0, 7))
+    slots = iter(range(8))
 
     def pick(draw, safe, hostile=HOSTILE):
         return draw(hostile if next(slots) == hostile_slot else safe)
@@ -66,7 +66,7 @@ def cli_args(draw, workdir: Path):
     if sub in ("hardness", "bounds"):
         means = draw(st.lists(
             st.sampled_from([1.0, 0.5, 0.2, 0.0, -1.0, 1e308, -1e308, 1e200,
-                             float("nan"), float("inf"), "x", None]),
+                             float("nan"), float("inf"), "x", None, True, "0.5"]),
             max_size=5,
         ))
         family = draw(st.sampled_from(
@@ -93,11 +93,12 @@ def cli_args(draw, workdir: Path):
             "instance": {
                 "K": pick(draw, st.integers(2, 16), json_value),
                 "generator": "single_gap",
-                "family": draw(
-                    st.sampled_from([{"gaussian": {"sigma2": 0.1}}, "bernoulli"])
-                ),
-                "mu_star": 0.9,
-                "delta_min": 0.5,
+                "family": draw(st.sampled_from([
+                    {"gaussian": {"sigma2": pick(draw, st.just(0.1), json_value)}},
+                    "bernoulli",
+                ])),
+                "mu_star": pick(draw, st.just(0.9), json_value),
+                "delta_min": pick(draw, st.just(0.5), json_value),
                 "delta_max": 0.5,
                 "seed": pick(draw, st.integers(0, 5), json_value),
             },

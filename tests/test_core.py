@@ -63,7 +63,7 @@ def test_best_arm_is_one_indexed():
 
 def test_best_arm_tie_raises():
     inst = BanditInstance(means=(0.5, 0.5, 0.1), family=Bernoulli())
-    with pytest.raises(DuplicateBestArm):
+    with pytest.raises(DuplicateBestArm, match=r"attained by arms \[1, 2\]$"):
         inst.best_arm
 
 
@@ -297,6 +297,23 @@ def test_instance_json_rejects_bad_payloads():
         with pytest.raises(ConfigParse):
             instance_from_json(f'{{"K": {K}, "means": [0.1, 0.9], "family": "bernoulli"}}')
     assert instance_from_json('{"K": 2.0, "means": [0.1, 0.9], "family": "bernoulli"}').K == 2
+    # an instance file is a config's instance block: every key names a field
+    # and every number is a finite JSON number, never a bool or a string
+    for payload in (
+        '{"means": "10", "family": "bernoulli"}',
+        '{"means": [true, 0.5], "family": "bernoulli"}',
+        '{"means": ["0.5", 0.1], "family": "bernoulli"}',
+        '{"means": [NaN, 0.9], "family": "bernoulli"}',
+        '{"means": [0.1, 0.9], "family": "bernoulli", "foo": 1}',
+        '{"means": [0.1, 0.9], "family": "bernoulli", "label": 7}',
+        '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": "0.1"}}}',
+        '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": true}}}',
+        '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": NaN}}}',
+        '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": 0.1, "typo": 5}}}',
+        '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": 0.1}, "extra": 1}}',
+    ):
+        with pytest.raises(ConfigParse):
+            instance_from_json(payload)
 
 
 @settings(max_examples=30)
