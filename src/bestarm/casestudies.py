@@ -39,8 +39,8 @@ _EDGE_EPS = 1e-6
 # draw their plays in chunks of at most this many, so a pull never holds
 # more pulse-train data than the oracle does.
 _SIGNAL_DRAWS = 200_000
-# Plays per block when counting on-pulse samples. It bounds the (plays x
-# slots) arrays: unblocked, they raised the peak RSS of a process that
+# Plays per block when counting on-pulse samples. It bounds the (slots x
+# plays) arrays: unblocked, they raised the peak RSS of a process that
 # imports bestarm.cli and runs the 200 000-draw signal-energy oracle from
 # 44.6 to 61.2 MB (numpy 2.4.6).
 _COUNT_BLOCK = 8192
@@ -203,7 +203,7 @@ def _slots_that_can_start(scenario: RadarScenario) -> int:
 def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
     """On-pulse sample counts for n independent pulse-train draws.
 
-    Plays are counted in blocks of at most _COUNT_BLOCK rows, one column per
+    Plays are counted in blocks of at most _COUNT_BLOCK columns, one row per
     pulse slot that can start inside the window, which bounds the working
     memory whatever n is.
     """
@@ -213,16 +213,16 @@ def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
     pri = rng.uniform(*scenario.pri_range, size=n)
     delay = rng.uniform(*scenario.delay_range, size=n)
     N, fs = scenario.N, scenario.fs
-    slots = np.arange(_slots_that_can_start(scenario))
+    slots = np.arange(_slots_that_can_start(scenario))[:, None]
     counts = np.zeros(n, dtype=np.int64)
     for a in range(0, n, _COUNT_BLOCK):
-        rows = slice(a, a + _COUNT_BLOCK)
-        start = delay[rows, None] + slots * pri[rows, None]
-        lo = np.ceil(start * fs - _EDGE_EPS).astype(np.int64)
-        hi = np.ceil((start + width[rows, None]) * fs - _EDGE_EPS).astype(np.int64)
+        cols = slice(a, a + _COUNT_BLOCK)
+        start = delay[cols] + slots * pri[cols]
+        lo = np.ceil(start * fs - _EDGE_EPS)
+        hi = np.ceil((start + width[cols]) * fs - _EDGE_EPS)
         span = np.minimum(hi, N) - np.maximum(lo, 0)
-        span[slots >= pulses[rows, None]] = 0
-        counts[rows] = np.maximum(span, 0).sum(axis=1)
+        span[slots >= pulses[cols]] = 0
+        counts[cols] = np.maximum(span, 0).sum(axis=0)
     return counts
 
 

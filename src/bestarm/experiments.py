@@ -30,7 +30,7 @@ from .core import (
     RngStream,
     gap_profile,
 )
-from .errors import BestArmError, ConfigParse
+from .errors import BestArmError, ConfigParse, SupportViolation
 from .hardness import (
     HardnessProfile,
     bound_re,
@@ -464,6 +464,14 @@ def _label(value) -> str | None:
     return value
 
 
+def _means(value) -> tuple[float, ...] | None:
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ConfigParse(f"means must be a list, got {value!r}")
+    return tuple(real_number(m, "means entry") for m in value)
+
+
 def _family(spec) -> Family:
     """A family: "bernoulli", "bounded" or {"gaussian": {"sigma2": ...}}."""
     if isinstance(spec, dict) and set(spec) == {"gaussian"}:
@@ -509,7 +517,7 @@ _CONVERTERS = {
     "mu_star": partial(real_number, name="mu_star"),
     "delta_min": partial(real_number, name="delta_min"),
     "delta_max": partial(real_number, name="delta_max"),
-    "means": lambda v: v if v is None else tuple(real_number(m, "means entry") for m in v),
+    "means": _means,
     "seed": partial(whole_number, name="seed", low=0),
     "label": _label,
     "alpha": partial(real_number, name="alpha"),
@@ -520,10 +528,11 @@ _CONVERTERS = {
 
 def _from_json(text: str, what: str, read):
     """read(payload) of the JSON text, with a TypeError or ValueError on the
-    way, such as a missing field, raised as ConfigParse."""
+    way, such as a missing field, or a value outside its family's support
+    (SupportViolation) raised as ConfigParse."""
     try:
         return read(json.loads(text))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, SupportViolation) as exc:
         raise ConfigParse(f"bad {what}: {exc}") from exc
 
 
@@ -531,12 +540,15 @@ def experiment_config_from_json(text: str) -> ExperimentConfig:
     """Parse a simulate config. Its keys and defaults are the fields of
     ExperimentConfig, InstanceSpec, ReOptions and Gaussian; an unknown key,
     a missing field without a default or a value its converter refuses
-    raises ConfigParse. K defaults to the number of explicit means."""
-    return _from_json(
-        text,
-        "config",
-        lambda p: ExperimentConfig(**_fields_from_json(ExperimentConfig, p, "config")),
-    )
+    raises ConfigParse, and so does an instance whose means leave its
+    family's support. K defaults to the number of explicit means."""
+
+    def read(p) -> ExperimentConfig:
+        config = ExperimentConfig(**_fields_from_json(ExperimentConfig, p, "config"))
+        generate_instance(config.instance)  # refuses means outside the support
+        return config
+
+    return _from_json(text, "config", read)
 
 
 def instance_from_json(text: str) -> BanditInstance:

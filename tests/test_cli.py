@@ -427,6 +427,9 @@ def with_instance(**fields):
         {"budgets": ["8"]},
         with_instance(label=[1]),
         with_instance(label=7),
+        # a value outside its family's support, given or generated
+        with_instance(family={"gaussian": {"sigma2": -1}}),
+        with_instance(family="bernoulli", mu_star=1.5),
     ],
 )
 def test_simulate_bad_config_value_exits_2(capsys, tmp_path, override):

@@ -311,9 +311,16 @@ def test_instance_json_rejects_bad_payloads():
         '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": NaN}}}',
         '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": 0.1, "typo": 5}}}',
         '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": 0.1}, "extra": 1}}',
+        # a value outside its family's support is a bad file, not a bad run
+        '{"means": [1.5, 0.5], "family": "bernoulli"}',
+        '{"means": [0.1, 0.9], "family": {"gaussian": {"sigma2": -1}}}',
     ):
         with pytest.raises(ConfigParse):
             instance_from_json(payload)
+    # means is a list, never a string or an object read entry by entry
+    for means in ('"10"', '{"0.1": 1, "0.9": 2}'):
+        with pytest.raises(ConfigParse, match="means must be a list"):
+            instance_from_json(f'{{"means": {means}, "family": "bernoulli"}}')
 
 
 @settings(max_examples=30)

@@ -407,6 +407,9 @@ def test_config_rejections():
         ' "means": 5}, "budgets": [10]}',
         '{"instance": {"K": 4, "generator": "single_gap",'
         ' "family": "bernoulli"}, "budgets": [10], "algorithms": "SR,RE,SR"}',
+        # generated means outside the family's support
+        '{"instance": {"K": 4, "generator": "single_gap",'
+        ' "family": "bernoulli", "mu_star": 1.5}, "budgets": [10]}',
     ] + [
         # a whole-number field refuses bools, fractions, non-finite values,
         # strings and null
