@@ -85,9 +85,10 @@ class BanditInstance:
         arr.flags.writeable = False
         return arr
 
-    @property
+    @cached_property
     def best_arm(self) -> int:
-        """1-indexed position of the unique maximal mean."""
+        """1-indexed position of the unique maximal mean, found once per
+        instance; a tie raises DuplicateBestArm on every read."""
         arr = self._mean_array
         top = arr.max()
         winners = np.flatnonzero(arr == top)
@@ -135,8 +136,8 @@ def gap_profile(instance: BanditInstance) -> GapProfile:
     sub_gaps = np.sort(sub_gaps)
     gaps = np.concatenate(([sub_gaps[0]], sub_gaps))  # best arm duplicates the min
     return GapProfile(
-        sorted_means=tuple(float(x) for x in mu),
-        gaps=tuple(float(x) for x in gaps),
+        sorted_means=tuple(mu.tolist()),
+        gaps=tuple(gaps.tolist()),
         delta_min=float(gaps[0]),
         delta_max=float(gaps[-1]),
     )
@@ -190,12 +191,17 @@ def _check_arms(instance: BanditInstance, arms: np.ndarray) -> np.ndarray:
 def _member_indices(instance: BanditInstance, members) -> np.ndarray:
     """0-based indices of the distinct members of a group, ascending.
 
-    Raises EmptyGroup for no members and IndexOutOfRange for an arm outside
-    [1, K]. Sorted distinct members, as run_re passes them, skip np.unique.
+    Members of any shape are read as the set of arms they hold. Raises
+    EmptyGroup for no members and IndexOutOfRange for an arm outside [1, K],
+    naming the lowest. One comparison shows a 1-D array that rises strictly,
+    as run_re passes its groups, to be sorted and distinct; any other input
+    goes through np.unique. A sorted array is in range when its ends are.
     """
-    arms = np.sort(_arm_array(members))
+    arms = _arm_array(members)
     if arms.size == 0:
         raise EmptyGroup("group pull needs at least one member")
-    if (arms[1:] == arms[:-1]).any():
+    if arms.ndim != 1 or not (arms[1:] > arms[:-1]).all():
         arms = np.unique(arms)
-    return _check_arms(instance, arms)
+    if arms[0] < 1 or arms[-1] > instance.K:
+        _check_arms(instance, arms)  # raises IndexOutOfRange
+    return arms - 1

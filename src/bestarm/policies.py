@@ -50,11 +50,12 @@ class BanditEnv:
     that block.
 
     Both pulls check their input first, at every n: arms are whole numbers
-    in [1, K] (else IndexOutOfRange), and a group's members are
-    deduplicated and nonempty (else EmptyGroup). With n <= 0 a pull returns
-    zeros; otherwise the law hook `_arm_sums` or `_group_sums` draws from
-    0-based int64 indices, which it reads and never mutates. A custom
-    environment subclasses BanditEnv and overrides only these hooks.
+    in [1, K] (else IndexOutOfRange), and a group's members are nonempty
+    (else EmptyGroup). Members of any shape are read as the set of arms
+    they hold. With n <= 0 a pull returns zeros; otherwise the law hook
+    `_arm_sums` or `_group_sums` draws from 0-based int64 indices, which it
+    reads and never mutates. A custom environment subclasses BanditEnv and
+    overrides only these hooks.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -122,7 +123,7 @@ class BanditEnv:
         family = self.instance.family
         if isinstance(family, Gaussian):
             var = family.sigma2 / g
-            return rng.normal(n * float(mu.mean()), np.sqrt(n * var), size=trials)
+            return rng.normal(n * (float(mu.sum()) / g), np.sqrt(n * var), size=trials)
         # per-member success counts over the n pulls, one row per trial
         counts = rng.binomial(n, mu, size=(trials, g))
         return counts.sum(axis=1) / g

@@ -23,7 +23,7 @@ from bestarm import (
     gap_profile,
     instance_from_json,
 )
-from bestarm.core import RngStream
+from bestarm.core import RngStream, _member_indices
 from oracles import instance_to_json, sample_arm, sample_group
 
 
@@ -63,8 +63,9 @@ def test_best_arm_is_one_indexed():
 
 def test_best_arm_tie_raises():
     inst = BanditInstance(means=(0.5, 0.5, 0.1), family=Bernoulli())
-    with pytest.raises(DuplicateBestArm, match=r"attained by arms \[1, 2\]$"):
-        inst.best_arm
+    for _ in range(2):  # the cache holds no exception: every read raises
+        with pytest.raises(DuplicateBestArm, match=r"attained by arms \[1, 2\]$"):
+            inst.best_arm
 
 
 # -------------------------------------------------------------- gap profile
@@ -115,6 +116,12 @@ def test_gap_profile_invariants(means):
             gap_profile(inst)
         return
     prof = gap_profile(inst)
+    # the fields are Python floats, as a float() of every entry gives them
+    mu = np.sort(arr)[::-1]
+    want = np.sort(mu[0] - mu[1:])
+    assert prof.sorted_means == tuple(float(x) for x in mu)
+    assert prof.gaps == tuple(float(x) for x in np.concatenate((want[:1], want)))
+    assert {type(x) for x in prof.sorted_means + prof.gaps} == {float}
     gaps = np.asarray(prof.gaps)
     assert gaps[0] == gaps[1]
     assert np.all(np.diff(gaps) >= 0)
@@ -152,6 +159,42 @@ def test_sample_arm_index_checked():
         sample_arm(inst, 0, rng())
     with pytest.raises(IndexOutOfRange):
         sample_arm(inst, 3, rng())
+
+
+@given(
+    K_arms=st.integers(1, 12).flatmap(
+        lambda K: st.tuples(st.just(K), st.lists(st.integers(0, K + 1), max_size=10))
+    ),
+    order=st.sampled_from(["as drawn", "sorted", "sorted distinct"]),
+    form=st.sampled_from(["list", "int64", "int32", "float", "2-D"]),
+)
+def test_member_indices_read_members_as_a_set_of_arms(K_arms, order, form):
+    K, arms = K_arms
+    if order == "sorted":
+        arms = sorted(arms)
+    elif order == "sorted distinct":
+        arms = sorted(set(arms))
+    even = arms + arms[-1:] * (len(arms) % 2)  # 2-D pads with a duplicate
+    members = {
+        "list": list(arms),
+        "int64": np.array(arms, dtype=np.int64),
+        "int32": np.array(arms, dtype=np.int32),
+        "float": np.array(arms, dtype=float),
+        "2-D": np.array(even, dtype=np.int64).reshape(2, -1),
+    }[form]
+    inst = BanditInstance(means=tuple(range(K)), family=Gaussian(1.0))
+    want = np.unique(np.asarray(members).ravel()) - 1
+    outside = want[(want < 0) | (want >= K)] + 1
+    if want.size == 0:
+        with pytest.raises(EmptyGroup):
+            _member_indices(inst, members)
+    elif outside.size:
+        with pytest.raises(IndexOutOfRange, match=rf"^arm {int(outside[0])} outside"):
+            _member_indices(inst, members)
+    else:
+        got = _member_indices(inst, members)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_sample_group_zero_variance_average():

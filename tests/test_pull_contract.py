@@ -85,11 +85,18 @@ def test_case_study_member_order_and_duplicates_leave_the_draw_unchanged(case_en
         (1.0, 3.0, 4.0),
         np.array([4, 4, 1, 3]),
         np.array([1, 3, 4], dtype=np.int32),
+        np.array([[1, 3], [4, 4]]),
     ]
     want = case_env.pull_group_sum([1, 3, 4], 9, np.random.default_rng(7), 4)
     for members in variants:
         got = case_env.pull_group_sum(members, 9, np.random.default_rng(7), 4)
         assert np.array_equal(got, want)
+
+
+def test_zero_dimensional_members_are_one_arm(env):
+    want = env.pull_group_sum([3], 9, np.random.default_rng(7), 4)
+    got = env.pull_group_sum(np.array(3), 9, np.random.default_rng(7), 4)
+    assert np.array_equal(got, want)
 
 
 def test_integral_arms_of_any_type_give_the_same_draw(env):

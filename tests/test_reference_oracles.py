@@ -139,6 +139,7 @@ def test_group_members_order_and_duplicates_do_not_change_the_draw(family):
         (1.0, 3.0, 4.0),
         np.array([4, 4, 1, 3]),
         np.array([1, 3, 4], dtype=np.int32),
+        np.array([[1, 3], [4, 4]]),
     ]
     for sampler in (
         lambda members, r: BanditEnv(instance).pull_group_sum(members, 9, r),
