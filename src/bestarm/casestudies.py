@@ -39,10 +39,10 @@ _EDGE_EPS = 1e-6
 # draw their plays in chunks of at most this many, so a pull never holds
 # more pulse-train data than the oracle does.
 _SIGNAL_DRAWS = 200_000
-# Plays per block when counting on-pulse samples. It bounds the (slots x
-# plays) arrays: unblocked, they raised the peak RSS of a process that
-# imports bestarm.cli and runs the 200 000-draw signal-energy oracle from
-# 44.6 to 61.2 MB (numpy 2.4.6).
+# Plays per block when counting on-pulse samples: the size of the three
+# float buffers that signal_sample_counts allocates once per call and reuses
+# for every block. Fresh (slots x plays) temporaries per block were handed
+# back to the kernel on free and faulted in again by the next block.
 _COUNT_BLOCK = 8192
 
 
@@ -126,6 +126,7 @@ class RadarScenario:
     complex samples. Pulse trains are rectangular with unit amplitude on the
     I rail; their count, width, repetition interval, and initial delay are
     drawn fresh for each play from the given ranges and truncated to the window.
+    Each range is a finite (lo, hi) with lo <= hi; pulse counts are whole.
     """
 
     K: int = 8
@@ -155,6 +156,22 @@ class RadarScenario:
             raise IndexOutOfRange(
                 f"active_channel {self.active_channel} not in 1..{self.K}"
             )
+        if not all(
+            isinstance(x, (int, np.integer))
+            or (isinstance(x, float) and x.is_integer())
+            for x in self.n_pulses_range
+        ):
+            raise SupportViolation(
+                f"n_pulses_range must hold whole numbers, got {self.n_pulses_range}"
+            )
+        for name in ("n_pulses_range", "width_range", "pri_range", "delay_range"):
+            lo, hi = getattr(self, name)
+            # false for a NaN or infinite endpoint, for lo > hi, and for a
+            # span that overflows, which numpy's uniform also refuses
+            if not 0 <= hi - lo < math.inf:
+                raise SupportViolation(
+                    f"{name} must be finite with lo <= hi, got {(lo, hi)}"
+                )
 
     @property
     def N(self) -> int:
@@ -179,17 +196,17 @@ def seeded_radar_scenario(
 def _slots_that_can_start(scenario: RadarScenario) -> int:
     """Pulse slots p = 0, 1, ... that some draw can start inside the window.
 
-    With ordered ranges and a positive pri, no draw starts slot p earlier
-    than delay_min + p * pri_min, and that bound grows with p. Each float
-    operation signal_sample_counts applies to a start is monotone, so once
-    the bound's first sample index, ceil(bound * fs - _EDGE_EPS), reaches
-    N, no draw puts a sample of that slot, or of any later one, in the
-    window. Otherwise every slot counts.
+    The scenario's ranges are finite and ordered, so with a positive pri
+    no draw starts slot p earlier than delay_min + p * pri_min, and that
+    bound grows with p. Each float operation signal_sample_counts applies
+    to a start is monotone, so once the bound's first sample index,
+    ceil(bound * fs - _EDGE_EPS), reaches N, no draw puts a sample of that
+    slot, or of any later one, in the window. Otherwise every slot counts.
     """
     hi_p = max(int(scenario.n_pulses_range[1]), 0)
-    d_lo, d_hi = scenario.delay_range
-    r_lo, r_hi = scenario.pri_range
-    if not (-math.inf < d_lo <= d_hi and 0 < r_lo <= r_hi < math.inf):
+    d_lo = scenario.delay_range[0]
+    r_lo = scenario.pri_range[0]
+    if r_lo <= 0:
         return hi_p
     N, fs = scenario.N, scenario.fs
     p = 0
@@ -203,26 +220,51 @@ def _slots_that_can_start(scenario: RadarScenario) -> int:
 def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
     """On-pulse sample counts for n independent pulse-train draws.
 
-    Plays are counted in blocks of at most _COUNT_BLOCK columns, one row per
-    pulse slot that can start inside the window, which bounds the working
-    memory whatever n is.
+    Width, pri and delay are the rows of one (3, n) draw, each scaled in
+    place as numpy's uniform scales it, so the values and the generator's
+    end state are those of three rng.uniform calls. Plays are counted in
+    blocks of at most _COUNT_BLOCK, one pulse slot that can start inside
+    the window at a time, in three buffers that every block reuses: the
+    working memory is bounded whatever n is, and no block allocates.
     """
     lo_p, hi_p = scenario.n_pulses_range
     pulses = rng.integers(lo_p, hi_p + 1, size=n)
-    width = rng.uniform(*scenario.width_range, size=n)
-    pri = rng.uniform(*scenario.pri_range, size=n)
-    delay = rng.uniform(*scenario.delay_range, size=n)
+    params = rng.random((3, n))
+    ranges = (scenario.width_range, scenario.pri_range, scenario.delay_range)
+    for row, (a, b) in zip(params, ranges):
+        # numpy's uniform computes a + (b - a) * u
+        row *= b - a
+        row += a
+    width, pri, delay = params
     N, fs = scenario.N, scenario.fs
-    slots = np.arange(_slots_that_can_start(scenario))[:, None]
+    slots = _slots_that_can_start(scenario)
     counts = np.zeros(n, dtype=np.int64)
+    size = min(n, _COUNT_BLOCK)
+    hi_buf, lo_buf, total_buf = np.empty(size), np.empty(size), np.empty(size)
     for a in range(0, n, _COUNT_BLOCK):
         cols = slice(a, a + _COUNT_BLOCK)
-        start = delay[cols] + slots * pri[cols]
-        lo = np.ceil(start * fs - _EDGE_EPS)
-        hi = np.ceil((start + width[cols]) * fs - _EDGE_EPS)
-        span = np.minimum(hi, N) - np.maximum(lo, 0)
-        span[slots >= pulses[cols]] = 0
-        counts[cols] = np.maximum(span, 0).sum(axis=0)
+        w, r, d, k = width[cols], pri[cols], delay[cols], pulses[cols]
+        hi, lo, total = hi_buf[: len(w)], lo_buf[: len(w)], total_buf[: len(w)]
+        total.fill(0.0)
+        for p in range(slots):
+            np.multiply(r, p, out=hi)
+            hi += d  # the slot's start
+            np.multiply(hi, fs, out=lo)
+            lo -= _EDGE_EPS
+            np.ceil(lo, out=lo)
+            hi += w
+            hi *= fs
+            hi -= _EDGE_EPS
+            np.ceil(hi, out=hi)
+            np.minimum(hi, N, out=hi)
+            np.maximum(lo, 0, out=lo)
+            hi -= lo
+            np.maximum(hi, 0, out=hi)
+            if p >= lo_p:  # every draw has at least lo_p pulses
+                np.greater(k, p, out=lo)
+                hi *= lo
+            total += hi
+        counts[cols] = total
     return counts
 
 
@@ -313,7 +355,8 @@ class RadarEnv(BanditEnv):
     on-pulse counts. The idle members of a group add up to one
     chi2(2Nn * idle members) draw. A pull of the active channel for a block
     of trials counts the pulses of all its plays in one
-    signal_sample_counts call (chunked beyond _SIGNAL_DRAWS plays). The
+    signal_sample_counts call (chunked beyond _SIGNAL_DRAWS plays), which
+    holds its draws, its counts and three _COUNT_BLOCK buffers. The
     instance's Gaussian family carries the energy variance N * noise_var**2
     of an idle play for the RE threshold; no pull draws from it.
     """

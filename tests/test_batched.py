@@ -24,7 +24,13 @@ from bestarm import (
     Gaussian,
     ReOptions,
 )
-from bestarm.casestudies import RadarEnv, RadarScenario, _row_sums
+from bestarm.casestudies import (
+    _COUNT_BLOCK,
+    RadarEnv,
+    RadarScenario,
+    _row_sums,
+    signal_sample_counts,
+)
 from bestarm.core import MAX_K, RngStream
 from bestarm.experiments import block_trials, group_mean_distribution, run_cells
 from bestarm.grouping import construct_groups
@@ -263,6 +269,24 @@ def test_group_mean_distribution_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 50e6, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("dwell_T", [30e-6, 120e-6])  # 2 and 6 pulse slots
+def test_signal_sample_counts_memory_is_bounded(dwell_T):
+    """Beyond its draws and counts (40 bytes a play), a call holds at most
+    a few _COUNT_BLOCK-sized buffers, however many slots and plays."""
+    sc = RadarScenario(dwell_T=dwell_T)
+    n = 50_000
+    rng = np.random.default_rng(0)
+    signal_sample_counts(sc, n, rng)  # warm-up
+    tracemalloc.start()
+    try:
+        signal_sample_counts(sc, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - 40 * n
+    assert extra < 4 * 8 * _COUNT_BLOCK, f"{extra / 1024:.0f} KiB beyond the draws"
 
 
 def test_group_mean_distribution_refuses_large_inputs():

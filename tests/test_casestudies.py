@@ -161,6 +161,47 @@ def test_radar_scenario_defaults_and_validation():
         RadarScenario(active_channel=9)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("width_range", (10e-6, math.inf)),
+        ("pri_range", (math.nan, 23e-6)),
+        ("delay_range", (-math.inf, 10e-6)),
+        ("delay_range", (-1e308, 1e308)),  # finite ends, infinite span
+    ],
+)
+def test_radar_scenario_refuses_non_finite_ranges(field, value):
+    with pytest.raises(SupportViolation, match=field):
+        RadarScenario(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_pulses_range", (6, 2)),
+        ("width_range", (16e-6, 10e-6)),
+        ("pri_range", (23e-6, 17e-6)),
+        ("delay_range", (10e-6, 1e-6)),
+    ],
+)
+def test_radar_scenario_refuses_reversed_ranges(field, value):
+    with pytest.raises(SupportViolation, match=field):
+        RadarScenario(**{field: value})
+
+
+@pytest.mark.parametrize("value", [(2.5, 6), (2, math.nan), ("2", 6), (None, 6)])
+def test_radar_scenario_refuses_fractional_pulse_counts(value):
+    with pytest.raises(SupportViolation, match="n_pulses_range"):
+        RadarScenario(n_pulses_range=value)
+
+
+def test_radar_scenario_accepts_whole_pulse_counts_of_any_type():
+    want = signal_sample_counts(RadarScenario(), 500, rng(3))
+    for value in [(2.0, 6.0), (np.int64(2), np.int32(6))]:
+        got = signal_sample_counts(RadarScenario(n_pulses_range=value), 500, rng(3))
+        np.testing.assert_array_equal(got, want)
+
+
 def test_draw_pulse_params_ranges():
     sc = RadarScenario()
     r = rng(2)
