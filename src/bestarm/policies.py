@@ -264,6 +264,18 @@ def _sr_logbar(K: int) -> float:
     return 0.5 + sum(1.0 / i for i in range(2, K + 1))
 
 
+def _lowest(values: np.ndarray, r: int) -> np.ndarray:
+    """Mask of the r lowest entries of each row, the lower index first on
+    ties: the first r entries of a stable argsort, found without a sort."""
+    kth = np.partition(values, r - 1, axis=1)[:, r - 1 : r]
+    mask = values <= kth
+    if np.count_nonzero(mask) > r * len(values):  # a row ties across kth
+        below = values < kth
+        room = r - np.count_nonzero(below, axis=1, keepdims=True)
+        mask = below | (mask & (np.cumsum(mask & ~below, axis=1) <= room))
+    return mask
+
+
 def run_sr(
     env: BanditEnv, T: int, rng: np.random.Generator, trials: int = 1
 ) -> PolicyRun:
@@ -271,11 +283,11 @@ def run_sr(
 
     Phase k brings every alive arm to n_k pulls (Audibert, Bubeck & Munos,
     2010). Each row keeps its alive arms ascending, so all rows pull the
-    same number of arms. Means change only in phases that pull, so after
-    each such phase the rows are sorted once and every rejection up to the
-    next pulling phase is one slice of that order. Alive arms share their
-    pull count, so sums rank like means. Never-pulled arms tie at zero, and
-    ties go to the lowest index (the sort is stable).
+    same number of arms. Means change only in phases that pull, so the
+    rejections from one pulling phase up to the next are made together.
+    Alive arms share their pull count, so sums rank like means. Tie rule:
+    among equal sums the lower arm is rejected first, so never-pulled arms,
+    tied at zero, go in index order.
     """
     K = env.K
     if T < K:
@@ -292,10 +304,11 @@ def run_sr(
         if inc[start] > 0:
             sums += env.pull_arms_sum(alive + 1, int(inc[start]), rng)
             pulls_used += int(inc[start]) * alive.shape[1]
-        worst_first = np.argsort(sums, axis=1, kind="stable")
-        keep = np.sort(worst_first[:, stop - start :], axis=1)
-        alive = np.take_along_axis(alive, keep, axis=1)
-        sums = np.take_along_axis(sums, keep, axis=1)
+        # a boolean mask keeps each row's survivors in ascending order
+        keep = ~_lowest(sums, stop - start)
+        width = alive.shape[1] - (stop - start)
+        alive = alive[keep].reshape(trials, width)
+        sums = sums[keep].reshape(trials, width)
     return _run("SR", env, T, alive[:, 0] + 1, pulls_used)
 
 
@@ -305,10 +318,11 @@ def run_sh(
     """Sequential halving with fresh per-round pulls (Karnin, Koren &
     Somekh, 2013).
 
-    Rounds with a zero per-arm allocation keep a uniformly random half of
-    each row, making the small-budget degradation explicit rather than an
-    error. Otherwise a row keeps its better half, the lower index first on
-    ties.
+    Rounds with a zero per-arm allocation keep, in each row, the arms with
+    the lowest values of one uniform draw per arm: a uniformly random half,
+    making the small-budget degradation explicit rather than an error.
+    Otherwise a row keeps its better half; tie rule: among equal means the
+    lower index is kept first.
     """
     K = env.K
     rounds = max(1, math.ceil(math.log2(K)))
@@ -321,12 +335,11 @@ def run_sh(
         keep = math.ceil(n_alive / 2)
         n_r = T // (n_alive * rounds)
         if n_r == 0:
-            order = np.argsort(rng.random((trials, n_alive)), axis=1)
+            score = rng.random((trials, n_alive))
         else:
-            means = env.pull_arms_sum(alive, n_r, rng) / n_r
+            score = -env.pull_arms_sum(alive, n_r, rng) / n_r
             pulls_used += n_r * n_alive
-            order = np.argsort(-means, axis=1, kind="stable")
-        alive = np.take_along_axis(alive, np.sort(order[:, :keep], axis=1), axis=1)
+        alive = alive[_lowest(score, keep)].reshape(trials, keep)
     return _run("SH", env, T, alive[:, 0], pulls_used)
 
 

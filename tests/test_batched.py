@@ -60,7 +60,9 @@ def random_instance(meta, K, bernoulli, tied):
 
 ONE_TRIAL_CASES = [
     (name, opts, K, bernoulli, tied)
-    for name, opts in (("UE", None), ("SR", None), ("RE", None), ("RE", PLUGIN))
+    for name, opts in (
+        ("UE", None), ("SR", None), ("RE", None), ("RE", PLUGIN), ("SH", None)
+    )
     for K in (2, 3, 8, 12, 33)
     for bernoulli in (False, True)
     for tied in (False, True)
@@ -71,7 +73,10 @@ ONE_TRIAL_CASES = [
 def test_one_trial_block_matches_reference(name, opts, K, bernoulli, tied):
     meta = np.random.default_rng([K, bernoulli, tied, name == "RE"])
     env = BanditEnv(random_instance(meta, K, bernoulli, tied))
-    for T in (K, 3 * K, 10 * K):
+    # SH runs where no round has a zero allocation, whose random half the
+    # reference draws differently
+    rounds = max(1, math.ceil(math.log2(K)))
+    for T in {"SH": (K * rounds, 3 * K * rounds)}.get(name, (K, 3 * K, 10 * K)):
         for seed in range(4):
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             try:
@@ -109,6 +114,34 @@ def test_noiseless_block_rows_match_reference(name, K):
         assert (got.recommended_arm == want.recommended_arm).all()
         assert (got.correct == want.correct).all()
         assert got.pulls_used == want.pulls_used
+
+
+@pytest.mark.parametrize("K,T", [(8, 5), (12, 20), (33, 100)])
+def test_sh_zero_allocation_rounds_keep_the_lowest_draws(K, T):
+    # A round with no pulls keeps, in each row, the arms with the lowest
+    # values of that round's rng.random((trials, alive)) draw. Noiseless
+    # pulls draw nothing, so a twin generator replays every round.
+    means = np.linspace(0.2, 0.9, K)
+    env = BanditEnv(BanditInstance(means=tuple(means), family=Gaussian(0.0)))
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    got = run_policy("SH", env, T, rng, trials=64)
+    rounds = max(1, math.ceil(math.log2(K)))
+    alive = np.tile(np.arange(1, K + 1), (64, 1))
+    random_rounds = 0
+    for _ in range(rounds):
+        n_alive = alive.shape[1]
+        if n_alive == 1:
+            break
+        if T // (n_alive * rounds) == 0:
+            score = twin.random((64, n_alive))
+            random_rounds += 1
+        else:
+            score = -means[alive - 1]
+        head = np.argsort(score, axis=1, kind="stable")[:, : math.ceil(n_alive / 2)]
+        alive = np.sort(np.take_along_axis(alive, head, axis=1), axis=1)
+    assert random_rounds > 0
+    assert (got.recommended_arm == alive[:, 0]).all()
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_re_block_diagnostics_have_one_entry_per_trial():

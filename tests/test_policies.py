@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bestarm import (
     BanditEnv,
@@ -24,6 +25,7 @@ from bestarm import (
 from bestarm.experiments import wilson_interval
 from bestarm.hardness import q_function
 from bestarm.policies import (
+    _lowest,
     compute_priors,
     lrt_threshold_gaussian,
     run_re,
@@ -151,6 +153,25 @@ def test_sr_zero_increment_phases_drop_lowest_index():
     run = run_sr(env, 4, rng())
     assert run.recommended_arm == 4
     assert run.pulls_used == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lowest_is_the_head_of_a_stable_argsort(data):
+    # tie-heavy rows: a few integer values, -0.0 beside 0.0, some rows flat
+    rows = data.draw(st.integers(1, 64))
+    n = data.draw(st.integers(2, 40))
+    r = data.draw(st.integers(1, n - 1))
+    pool = data.draw(
+        st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]), min_size=1, max_size=4)
+    )
+    values = data.draw(arrays(np.float64, (rows, n), elements=st.sampled_from(pool)))
+    flat = data.draw(arrays(np.bool_, rows))
+    values[flat] = values[flat, :1]
+    want = np.zeros(values.shape, dtype=bool)
+    head = np.argsort(values, axis=1, kind="stable")[:, :r]
+    np.put_along_axis(want, head, True, axis=1)
+    assert (_lowest(values, r) == want).all()
 
 
 # --------------------------------------------------------------------- SH

@@ -9,7 +9,8 @@ After one warm-up call per cell, the cell is called with seeds 1, 2, ...
 until the calls have taken --seconds of the calling thread's CPU time, so
 a cheap cell is timed over as long a span as a costly one. The script
 prints one JSON object: per K and policy, the median over those calls of
-their thread CPU time divided by the trial count, in microseconds. Thread
+their thread CPU time divided by the trial count, in microseconds, and
+under "machine" the core count and the Python and numpy versions. Thread
 time leaves out whatever other threads of the process spin meanwhile. It
 runs against whichever bestarm is first on the path, so the same command
 measures two checkouts.
@@ -17,8 +18,12 @@ measures two checkouts.
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import time
+
+import numpy as np
 
 from bestarm import BanditEnv, BanditInstance, Gaussian
 from bestarm.experiments import run_cells
@@ -50,6 +55,11 @@ def main() -> None:
         table[str(K)] = {
             p: round(cost_us(env, p, T, args.trials, args.seconds), 1) for p in POLICIES
         }
+    table["machine"] = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
     print(json.dumps(table))
 
 
