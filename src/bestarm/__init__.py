@@ -10,6 +10,25 @@ The names below are what the command line and the README use; everything
 else lives in the submodules.
 """
 
+import os
+import sys
+
+# No bestarm code calls BLAS, yet OpenBLAS starts worker threads that spin
+# for about 0.1 s of CPU once it loads. OpenBLAS reads its thread count
+# once, when it loads, so numpy is imported here with one thread and the
+# variable is then removed, so that child processes and later libraries do
+# not inherit it. A thread count the user set, or a numpy that a host
+# program loaded first, is left as it is.
+if "numpy" not in sys.modules and not any(
+    name in os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .core import (
     BanditInstance,
     Bernoulli,

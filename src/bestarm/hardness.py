@@ -193,7 +193,9 @@ def bound_exploration_failure(K: int, m: int, eps: float, sigma2: float):
     """Initial-exploration failure probability 2K Q(eps sqrt(m)/sigma)."""
     if m < 1:
         raise BudgetTooSmall(f"need m >= 1 exploration pulls, got {m}")
-    if eps <= 0:
-        raise InvalidK(f"need eps > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidK(f"need a finite eps > 0, got {eps}")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise InvalidK(f"need a finite sigma2 > 0, got {sigma2}")
     val = 2.0 * K * q_function(eps * math.sqrt(m) / math.sqrt(sigma2))
     return min(1.0, float(val))

@@ -544,3 +544,77 @@ def test_installed_console_script():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "group_id,members"
     assert proc.stdout.splitlines()[1] == "G1,2;4"
+
+
+# ------------------------------------------------------------- BLAS threads
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Imports the modules named in argv[1], sleeps argv[2] seconds, and reports
+# the process's OS threads, its CPU time across the sleep, and whether the
+# imports left os.environ as they found it.
+PROBE = """
+import json, os, sys, time
+before = dict(os.environ)
+for name in sys.argv[1].split(","):
+    __import__(name)
+start = time.process_time()
+time.sleep(float(sys.argv[2]))
+print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")),
+    "idle_cpu_s": time.process_time() - start,
+    "environ_kept": dict(os.environ) == before,
+    "openblas_var": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+@pytest.fixture
+def probe_env(cli_env):
+    """`cli_env` without any BLAS thread setting, where the OS lists a
+    process's threads and numpy's BLAS is OpenBLAS."""
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
+    return {k: v for k, v in cli_env.items() if k not in BLAS_THREAD_VARS}
+
+
+def probe(env, modules, sleep_s=0.0):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, modules, str(sleep_s)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_bestarm_starts_no_blas_worker(probe_env):
+    """A fresh `import bestarm` runs one OS thread, burns no CPU while it
+    sleeps, and takes its one-thread OpenBLAS setting back out of
+    os.environ."""
+    got = probe(probe_env, "bestarm", 0.3)
+    assert got["threads"] == 1
+    assert got["idle_cpu_s"] < 0.03
+    assert got["environ_kept"]
+    assert got["openblas_var"] is None
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+def test_import_bestarm_keeps_callers_blas_threads(probe_env, name):
+    """A thread count the caller set stays in os.environ and is the one
+    OpenBLAS runs, as with numpy alone."""
+    env = {**probe_env, name: "2"}
+    got = probe(env, "bestarm")
+    assert got["environ_kept"]
+    assert got["threads"] == probe(env, "numpy")["threads"]
+
+
+def test_import_bestarm_after_numpy_changes_nothing(probe_env):
+    """A host that loaded numpy first keeps its environment and its BLAS
+    threads."""
+    got = probe(probe_env, "numpy,bestarm")
+    assert got["environ_kept"]
+    assert got["openblas_var"] is None
+    assert got["threads"] == probe(probe_env, "numpy")["threads"]

@@ -279,6 +279,17 @@ def test_bound_exploration_failure_validates():
         bound_exploration_failure(8, 10, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("eps, sigma2", [
+    (0.1, 0.0), (0.1, -1.0), (0.1, math.nan), (0.1, math.inf),
+    (math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
+])
+def test_bound_exploration_failure_refuses_bad_eps_and_variance(eps, sigma2):
+    """A variance or an eps that is not finite and > 0 is refused, not
+    divided by, rooted or carried into a bound of 1."""
+    with pytest.raises(InvalidK):
+        bound_exploration_failure(8, 10, eps, sigma2)
+
+
 # ------------------------------------------------------- decay-rate checks
 
 

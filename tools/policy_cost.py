@@ -10,10 +10,11 @@ until the calls have taken --seconds of the calling thread's CPU time, so
 a cheap cell is timed over as long a span as a costly one. The script
 prints one JSON object: per K and policy, the median over those calls of
 their thread CPU time divided by the trial count, in microseconds, and
-under "machine" the core count and the Python and numpy versions. Thread
-time leaves out whatever other threads of the process spin meanwhile. It
-runs against whichever bestarm is first on the path, so the same command
-measures two checkouts.
+under "machine" the core count and the Python and numpy versions.
+bestarm is imported before numpy, so this process, like the CLI, loads
+OpenBLAS with one thread and no idle BLAS worker spins beside the timed
+calls. It runs against whichever bestarm is first on the path, so the
+same command measures two checkouts.
 """
 
 import argparse
@@ -23,10 +24,10 @@ import platform
 import statistics
 import time
 
-import numpy as np
-
 from bestarm import BanditEnv, BanditInstance, Gaussian
 from bestarm.experiments import run_cells
+
+import numpy as np  # after bestarm, which loads it with one BLAS thread
 
 KS = (16, 256, 1024)
 POLICIES = ("UE", "SR", "SH", "RE")
