@@ -1,9 +1,13 @@
 """Hardness parameters H1-H4, separability margin, and error-bound evaluators.
 
-Every bound comes in two forms: ``bound_*`` returns the value clipped to
-[0,1] for reporting, and ``log_bound_*`` returns the natural log of the raw
-value so decay rates can be checked at budgets where the bound underflows.
-Budgets T may be scalars or numpy arrays.
+Each of the UE, SR, SH and RE bounds is lead * tail(t), and only (lead, t,
+b, c) differ between them: the tail is Hoeffding's exp(-t/b) for bounded
+rewards, and for Gaussian ones the Mills-ratio bound sqrt(s/(4 pi t))
+exp(-t/s) on Q(sqrt(2t/s)), with s = c * sigma2. ``bound_*`` returns a
+bound clipped to [0,1] for reporting, ``log_bound_*`` the natural log of
+the raw value, so decay rates can be checked where the bound underflows.
+Budgets T may be scalars or numpy arrays. Gaps so small that a hardness
+term overflows are refused with SupportViolation.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GapProfile
-from .errors import BudgetTooSmall, InvalidK, SeparabilityViolated
+from .errors import BudgetTooSmall, InvalidK, SeparabilityViolated, SupportViolation
 
 @dataclass(frozen=True)
 class HardnessProfile:
@@ -49,11 +53,13 @@ def hardness(profile: GapProfile) -> HardnessProfile:
     """
     g = np.asarray(profile.gaps)
     K = len(g)
-    H1 = float(np.sum(1.0 / g**2))
-    idx = np.arange(2, K + 1)
-    H2 = float(np.max(idx / g[1:] ** 2))
-    H3 = float(K / g[0] ** 2)
-    H4 = float(1.0 / (g[0] + g[-1]) ** 2)
+    with np.errstate(divide="ignore", over="ignore"):
+        H1 = float(np.sum(1.0 / g**2))
+        H2 = float(np.max(np.arange(2, K + 1) / g[1:] ** 2))
+        H3 = float(K / g[0] ** 2)
+        H4 = float(1.0 / (g[0] + g[-1]) ** 2)
+    if not all(map(math.isfinite, (H1, H2, H3, K * K * H4))):
+        raise SupportViolation(f"gaps down to {g[0]:.3g} overflow the hardness terms")
     margin = float(g[1] - (1.0 - 2.0 / K) * g[-1])
     eta = min(1.0, K**2 * H4 * margin**2) if margin >= 0 else None
     return HardnessProfile(
@@ -83,6 +89,20 @@ def _check_family(family: str, sigma2: float | None) -> None:
         raise InvalidK("gaussian bounds need sigma2 > 0")
 
 
+def _log_tail(family: str, sigma2: float | None, lead: float, t, b: float, c: float):
+    """Natural log of lead * tail(t), the family's tail of the module
+    docstring: exp(-t/b), or the Gaussian one with s = c * sigma2."""
+    _check_family(family, sigma2)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        if family == "bounded":
+            out = lead - t / b
+        else:
+            s = c * sigma2
+            out = lead + 0.5 * np.log(s / (4.0 * math.pi * t)) - t / s
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _finish(logv):
     """A log bound as its value clipped to [0, 1]."""
     arr = np.asarray(logv, dtype=float)
@@ -93,18 +113,7 @@ def _finish(logv):
 
 def log_bound_ue(family: str, K: int, T, H3: float, sigma2: float | None = None):
     """Natural log of the uniform-exploration error bound."""
-    _check_family(family, sigma2)
-    T = np.asarray(T, dtype=float)
-    if family == "bounded":
-        out = math.log(K - 1) - T / (2.0 * H3)
-    else:
-        with np.errstate(divide="ignore"):
-            out = (
-                math.log(K - 1)
-                + 0.5 * (np.log(H3 * sigma2) - np.log(math.pi * T))
-                - T / (4.0 * H3 * sigma2)
-            )
-    return float(out) if np.ndim(out) == 0 else out
+    return _log_tail(family, sigma2, math.log(K - 1), T, 2.0 * H3, 4.0 * H3)
 
 
 def bound_ue(family, K, T, H3, sigma2=None):
@@ -113,21 +122,12 @@ def bound_ue(family, K, T, H3, sigma2=None):
 
 def log_bound_sr(family: str, K: int, T, H2: float, sigma2: float | None = None):
     """Natural log of the successive-rejects bound; needs T > K."""
-    _check_family(family, sigma2)
+    _check_family(family, sigma2)  # a bad family is reported before a bad T
     T = np.asarray(T, dtype=float)
     if np.any(T <= K):
         raise BudgetTooSmall(f"SR bound needs T > K={K}")
-    lead = math.log(K * (K - 1) / 2.0)
-    lnK = math.log(K)
-    if family == "bounded":
-        out = lead - (T - K) / (lnK * H2)
-    else:
-        out = (
-            lead
-            + 0.5 * (np.log(H2 * sigma2 * lnK) - np.log(2.0 * math.pi * (T - K)))
-            - (T - K) / (2.0 * H2 * sigma2 * lnK)
-        )
-    return float(out) if np.ndim(out) == 0 else out
+    b = H2 * math.log(K)
+    return _log_tail(family, sigma2, math.log(K * (K - 1) / 2.0), T - K, b, 2.0 * b)
 
 
 def bound_sr(family, K, T, H2, sigma2=None):
@@ -136,20 +136,8 @@ def bound_sr(family, K, T, H2, sigma2=None):
 
 def log_bound_sh(family: str, K: int, T, H2: float, sigma2: float | None = None):
     """Natural log of the sequential-halving bound."""
-    _check_family(family, sigma2)
-    T = np.asarray(T, dtype=float)
     m = math.log2(K)
-    lead = math.log(3.0 * m)
-    if family == "bounded":
-        out = lead - T / (8.0 * H2 * m)
-    else:
-        with np.errstate(divide="ignore"):
-            out = (
-                lead
-                + 0.5 * (np.log(2.0 * H2 * sigma2 * m) - np.log(math.pi * T))
-                - T / (8.0 * H2 * sigma2 * m)
-            )
-    return float(out) if np.ndim(out) == 0 else out
+    return _log_tail(family, sigma2, math.log(3.0 * m), T, 8.0 * H2 * m, 8.0 * H2 * m)
 
 
 def bound_sh(family, K, T, H2, sigma2=None):
@@ -170,19 +158,10 @@ def log_bound_re(
         raise InvalidK(f"RE bound needs a power-of-two K, got {K}")
     if eta is None or not 0.0 < eta <= 1.0:
         raise SeparabilityViolated(f"RE bound needs eta in (0,1], got {eta}")
-    _check_family(family, sigma2)
-    T = np.asarray(T, dtype=float)
     m = math.log2(K)
-    if family == "bounded":
-        scale = 8.0 * H4 * K * m * (0.5 + 1.0 / (6.0 * math.sqrt(H4)))
-        out = math.log(m) - eta * T / scale
-    else:
-        with np.errstate(divide="ignore"):
-            out = (
-                0.5 * (np.log(4.0 * H4 * sigma2 * K * m**3) - np.log(math.pi * eta * T))
-                - eta * T / (16.0 * H4 * sigma2 * K * m)
-            )
-    return float(out) if np.ndim(out) == 0 else out
+    b = 8.0 * H4 * K * m * (0.5 + 1.0 / (6.0 * math.sqrt(H4)))
+    t = eta * np.asarray(T, dtype=float)
+    return _log_tail(family, sigma2, math.log(m), t, b, 16.0 * H4 * K * m)
 
 
 def bound_re(family, K, T, H4, eta, sigma2=None):

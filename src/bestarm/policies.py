@@ -297,19 +297,19 @@ def run_sr(
     inc = np.diff(n_k, prepend=0)
     # phases that start a run of rejections: the first, and each that pulls
     starts = np.flatnonzero((inc > 0) | (phases == 1))
-    alive = np.broadcast_to(np.arange(K), (trials, K))  # 0-based, ascending
+    alive = _arm_rows(K, trials)
     sums = np.zeros((trials, K))
     pulls_used = 0
     for start, stop in zip(starts, [*starts[1:], K - 1]):
         if inc[start] > 0:
-            sums += env.pull_arms_sum(alive + 1, int(inc[start]), rng)
+            sums += env.pull_arms_sum(alive, int(inc[start]), rng)
             pulls_used += int(inc[start]) * alive.shape[1]
         # a boolean mask keeps each row's survivors in ascending order
         keep = ~_lowest(sums, stop - start)
         width = alive.shape[1] - (stop - start)
         alive = alive[keep].reshape(trials, width)
         sums = sums[keep].reshape(trials, width)
-    return _run("SR", env, T, alive[:, 0] + 1, pulls_used)
+    return _run("SR", env, T, alive[:, 0], pulls_used)
 
 
 def run_sh(

@@ -156,6 +156,45 @@ def test_instance_file_k_not_a_whole_number_exits_2(capsys, tmp_path, subcommand
     assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
 
 
+def run_cli_process(cli_env, argv):
+    """The CLI in a fresh interpreter, so stderr holds everything the process
+    writes there, numpy's warnings included."""
+    return subprocess.run(
+        [sys.executable, "-m", "bestarm", *argv],
+        env=cli_env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["hardness", "bounds"])
+def test_gaps_that_overflow_the_hardness_terms_fail(tmp_path, cli_env, subcommand):
+    """A gap of 1e-200 squares to zero: H1-H4 would read inf and eta
+    min(1, inf * 0). The instance is refused with one JSON line instead."""
+    path = tmp_path / "instance.json"
+    path.write_text('{"means": [1e-200, 0], "family": {"gaussian": {"sigma2": 0.1}}}')
+    argv = [subcommand, "--instance", str(path)]
+    if subcommand == "bounds":
+        argv += ["--budgets", "4,8"]
+    proc = run_cli_process(cli_env, argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == "SupportViolation"
+
+
+def test_bounds_tiny_variance_writes_zeros_and_no_warning(tmp_path, cli_env):
+    """With sigma2 = 1e-320 every exponent t/s overflows to inf: each bound
+    is 0.0, and numpy's overflow is no warning on stderr."""
+    path = tmp_path / "instance.json"
+    path.write_text('{"means": [1, 0.5], "family": {"gaussian": {"sigma2": 1e-320}}}')
+    proc = run_cli_process(
+        cli_env, ["bounds", "--instance", str(path), "--budgets", "4,8"]
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = read_csv_text(proc.stdout)
+    assert len(rows) == 1 + 4 * 2
+    assert all(float(r[2]) == 0.0 for r in rows[1:])
+
+
 def test_bounds_rejects_unknown_algorithm(capsys, tmp_path):
     path = gaussian_instance_file(tmp_path, (1.0, 0.5), 0.1)
     status, out, err = run_cli(

@@ -1,6 +1,7 @@
 """Hardness parameters and closed-form error-bound evaluators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bestarm import (
     Gaussian,
     InvalidK,
     SeparabilityViolated,
+    SupportViolation,
     bound_re,
     gap_profile,
     hardness,
@@ -107,6 +109,21 @@ def test_as_row_serializes_eta_absence():
     assert row["eta"] == ""
     assert row["K"] == 8
     assert set(row) == {"K", "H1", "H2", "H3", "H4", "KH4", "margin", "eta"}
+
+
+def test_hardness_refuses_gaps_that_overflow():
+    """Gaps below about 1e-154 square to zero or overflow 1/gap^2: such a
+    profile is refused, not reported with H = inf and eta = 1.0."""
+    with pytest.raises(SupportViolation):
+        hardness(profile_from_gaps([1e-200], mu_star=0.0))
+    with pytest.raises(SupportViolation):
+        hardness(profile_from_gaps([1e-160] * 3, mu_star=0.0))
+    # H1-H3 and K*H4 are finite, but K^2*H4 is not: with a zero margin,
+    # eta would read min(1, inf * 0) = 1.0 in place of 0
+    K, gap = 1024, 1e-152
+    gaps = [gap * (1.0 - 2.0 / K)] + [gap] * (K - 2)
+    with pytest.raises(SupportViolation):
+        hardness(profile_from_gaps(gaps, mu_star=0.0))
 
 
 # --------------------------------------------------------------- q function
@@ -250,6 +267,30 @@ def test_bounds_clip_to_one_at_zero_budget():
     assert bound_ue("bounded", 4, 0, 10.0) == 1.0
     assert bound_sh("gaussian", 4, 0, 10.0, 1.0) == 1.0
     assert bound_re("bounded", 4, 0, 1.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("family, sigma2", [("bounded", None), ("gaussian", 0.5)])
+@pytest.mark.parametrize(
+    "fn",
+    [log_bound_ue, bound_ue, log_bound_sr, bound_sr,
+     log_bound_sh, bound_sh, log_bound_re, bound_re],
+    ids=lambda fn: fn.__name__,
+)
+def test_bounds_take_an_array_of_budgets(fn, family, sigma2):
+    """An array of T gives the scalar calls elementwise, without a numpy
+    warning; T = 0 gives a bound of 1 (SR, which needs T > K, is not asked)."""
+    args = (2.0, 0.5) if fn in (log_bound_re, bound_re) else (32.0,)  # H (, eta)
+    T = np.array([0.0, 9.0, 40.0, 1e3, 1e6, 1e9])
+    if fn in (log_bound_sr, bound_sr):
+        T = T[1:]  # SR's bound needs T > K
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = fn(family, 8, T, *args, sigma2)
+        want = [fn(family, 8, t, *args, sigma2) for t in T]
+    assert isinstance(got, np.ndarray) and got.shape == T.shape
+    assert got.tolist() == want
+    if T[0] == 0.0:  # the bound is 1, its log at least 0
+        assert got[0] == 1.0 if fn.__name__.startswith("bound") else got[0] >= 0.0
 
 
 def test_bounds_vanish_at_huge_budget():
