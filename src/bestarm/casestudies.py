@@ -82,12 +82,13 @@ class JammerEnv(BanditEnv):
         family = Gaussian(scenario.noise_var)
         super().__init__(BanditInstance(means=means, family=family))
 
-    def _group_sums(self, idx, n: int, rng, trials: int) -> np.ndarray:
-        mean = 1.0 / len(idx) if self.scenario.j_star - 1 in idx else 0.0
+    def _group_sums(self, groups, n: int, rng, trials: int) -> np.ndarray:
+        offsets = n * self._group_means(groups)
         nv = self.scenario.noise_var
         if nv == 0.0:
-            return np.full(trials, n * mean)
-        return n * mean + rng.normal(0.0, math.sqrt(n * nv), size=trials)
+            return np.tile(offsets, (trials, 1))
+        noise = rng.normal(0.0, math.sqrt(n * nv), size=(len(groups), trials))
+        return (offsets[:, None] + noise).T
 
 
 def run_jammer_experiment(
@@ -420,18 +421,21 @@ class RadarEnv(BanditEnv):
             out[active] = self._active_sums(idx.size - idle, n, rng)
         return out
 
-    def _group_sums(self, idx, n: int, rng, trials: int) -> np.ndarray:
-        """The active channel first, then all idle members in one draw."""
+    def _group_sums(self, groups, n: int, rng, trials: int) -> np.ndarray:
+        """Per group, in order: the active channel, then all idle members at once."""
         scenario = self.scenario
-        has_active = scenario.active_channel - 1 in idx
-        total = np.zeros(trials)
-        if has_active:
-            total += self._active_sums(trials, n, rng)
-        idle = len(idx) - has_active
-        if idle and scenario.noise_var > 0.0:
-            chi = rng.chisquare(2 * scenario.N * n * idle, size=trials)
-            total += (scenario.noise_var / 2.0) * chi
-        return total / len(idx)
+        out = np.empty((trials, len(groups)))
+        for k, idx in enumerate(groups):
+            has_active = scenario.active_channel - 1 in idx
+            total = np.zeros(trials)
+            if has_active:
+                total += self._active_sums(trials, n, rng)
+            idle = len(idx) - has_active
+            if idle and scenario.noise_var > 0.0:
+                chi = rng.chisquare(2 * scenario.N * n * idle, size=trials)
+                total += (scenario.noise_var / 2.0) * chi
+            out[:, k] = total / len(idx)
+        return out
 
 
 def run_radar_experiment(

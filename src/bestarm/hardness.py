@@ -97,6 +97,8 @@ def _log_tail(family: str, sigma2: float | None, lead: float, t, b: float, c: fl
     with np.errstate(divide="ignore", over="ignore"):
         if family == "bounded":
             out = lead - t / b
+        elif c * sigma2 == 0.0:  # s underflowed: the tail steps from 1 to 0 past t = 0
+            out = np.where(t > 0.0, -math.inf, math.inf)
         else:
             s = c * sigma2
             out = lead + 0.5 * np.log(s / (4.0 * math.pi * t)) - t / s

@@ -8,7 +8,8 @@ a set of arms:
 * ``pull_arms_sum(arms, n, rng)`` -- one sum of n i.i.d. rewards per entry
   of an int array of arms, of any shape;
 * ``pull_group_sum(members, n, rng, trials)`` -- one sum of n i.i.d.
-  group-play rewards per trial.
+  group-play rewards per trial;
+* ``pull_groups_sum(n, rng, trials)`` -- those sums for every binary group.
 
 One group play costs one unit of budget (the agent probes a subset and sees
 one scalar), matching the combinatorial-pull model. ``BanditEnv`` adapts a
@@ -46,16 +47,17 @@ class BanditEnv:
     back; a 1-D array, range or list of arms is read the same way. The
     `members` of a group pull arrive as a sorted read-only int64 array
     shared between trials, and the pull returns one sum per trial, shape
-    (trials,). The draws for a block come from the one generator `rng` of
-    that block.
+    (trials,); `pull_groups_sum` plays each group of construct_groups(K)
+    and returns shape (trials, m). The draws for a block come from the one
+    generator `rng` of that block.
 
-    Both pulls check their input first, at every n: arms are whole numbers
-    in [1, K] (else IndexOutOfRange), and a group's members are nonempty
-    (else EmptyGroup). Members of any shape are read as the set of arms
-    they hold. With n <= 0 a pull returns zeros; otherwise the law hook
-    `_arm_sums` or `_group_sums` draws from 0-based int64 indices, which it
-    reads and never mutates. A custom environment subclasses BanditEnv and
-    overrides only these hooks.
+    Both single pulls check their input first, at every n: arms are whole
+    numbers in [1, K] (else IndexOutOfRange), and a group's members are
+    nonempty (else EmptyGroup). Members of any shape are read as the set of
+    arms they hold. With n <= 0 a pull returns zeros; otherwise the law hook
+    `_arm_sums` draws from 0-based int64 indices and `_group_sums` from a
+    tuple of them, group k before group k+1; neither mutates them. A custom
+    environment subclasses BanditEnv and overrides only these hooks.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -99,7 +101,21 @@ class BanditEnv:
         idx = core._member_indices(self.instance, members)
         if n <= 0:
             return np.zeros(trials)
-        return self._group_sums(idx, n, rng, trials)
+        return self._group_sums((idx,), n, rng, trials)[:, 0]
+
+    def pull_groups_sum(self, n: int, rng, trials: int = 1) -> np.ndarray:
+        """Sums over n plays of each binary group, shape (trials, m)."""
+        if n <= 0:
+            return np.zeros((trials, len(self._groups)))
+        return self._group_sums(self._groups, n, rng, trials)
+
+    @cached_property
+    def _groups(self) -> tuple[np.ndarray, ...]:
+        """construct_groups(K)'s groups as 0-based indices, checked once."""
+        code = construct_groups(self.K)
+        groups = tuple(core._member_indices(self.instance, g) for g in code.groups)
+        self._groups_mean = self._group_means(groups)  # computed: _groups is unset
+        return groups
 
     def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
         """Sufficient statistics, one numpy call filled in row-major order:
@@ -115,18 +131,28 @@ class BanditEnv:
             return np.asarray(sums, dtype=float)
         return rng.binomial(n, mu).astype(float)
 
-    def _group_sums(self, idx: np.ndarray, n: int, rng, trials: int) -> np.ndarray:
+    def _group_means(self, groups) -> np.ndarray:
+        """Mean of each group's member means; the own groups' are cached."""
+        if groups is self.__dict__.get("_groups"):
+            return self._groups_mean
+        mu = self.instance._mean_array
+        return np.array([float(mu[idx].sum()) / len(idx) for idx in groups])
+
+    def _group_sums(self, groups, n: int, rng, trials: int) -> np.ndarray:
         """A group play averages one draw per member: N(mean mu, sigma2/g)
-        for Gaussian rewards, per-member Binomial counts otherwise."""
-        mu = self.instance._mean_array[idx]
-        g = len(idx)
+        for Gaussian rewards, all groups in one call; per-member Binomial
+        counts otherwise, group by group."""
         family = self.instance.family
         if isinstance(family, Gaussian):
-            var = family.sigma2 / g
-            return rng.normal(n * (float(mu.sum()) / g), np.sqrt(n * var), size=trials)
-        # per-member success counts over the n pulls, one row per trial
-        counts = rng.binomial(n, mu, size=(trials, g))
-        return counts.sum(axis=1) / g
+            g = np.array([len(idx) for idx in groups], dtype=float)
+            loc = n * self._group_means(groups)
+            scale = np.sqrt(n * (family.sigma2 / g))
+            return rng.normal(loc[:, None], scale[:, None], (len(g), trials)).T
+        mu = self.instance._mean_array
+        out = np.empty((trials, len(groups)))
+        for k, idx in enumerate(groups):  # per-member success counts over n pulls
+            out[:, k] = rng.binomial(n, mu[idx], (trials, len(idx))).sum(1) / len(idx)
+        return out
 
 
 @dataclass(frozen=True)
@@ -361,9 +387,9 @@ def run_re(
     Group k is tested on its g_k real members alone. Its mean lies at or
     above mu_H*_k = mu_1 - (1 - 1/g_k) Delta_max when it holds the best
     arm, and at or below mu_L* = mu_1 - Delta_2 otherwise; for K a power
-    of two every g_k is K/2. Endpoints, priors and thresholds are
-    (trials, m) arrays built once per block; with oracle priors every row
-    gets the same ones.
+    of two every g_k is K/2. Endpoints, priors and thresholds are built
+    once per block, one row for all trials with oracle priors and alpha = 0;
+    the per-group diagnostics are (trials, m) arrays.
     """
     opts = options or ReOptions()
     K = env.K
@@ -389,22 +415,19 @@ def run_re(
         arm_hat = env.pull_arms_sum(_arm_rows(K, trials), n1, rng) / n1
         pulls_used += n1 * K
 
-    # Hypothesis endpoints from oracle gaps or plug-in estimates, per row.
+    # Endpoints from oracle gaps (one row without phase 1) or plug-in estimates.
+    shape = (1 if arm_hat is None else trials, m)
     if opts.prior_mode == "oracle":
         prof = env.true_gap_profile()
-        mu1, d2, d_max = (
-            np.full(trials, v)
-            for v in (prof.sorted_means[0], prof.delta_min, prof.delta_max)
-        )
+        ends = (prof.sorted_means[0], prof.delta_min, prof.delta_max)
+        mu1, d2, d_max = (np.full((shape[0], 1), v) for v in ends)
     else:
         top = np.sort(arm_hat, axis=1)  # ascending
-        mu1 = top[:, -1]
-        d2 = np.maximum(top[:, -1] - top[:, -2], _EPS_GAP)
-        d_max = np.maximum(top[:, -1] - top[:, 0], _EPS_GAP)
-    mu1, d2, d_max = mu1[:, None], d2[:, None], d_max[:, None]
-    shape = (trials, m)
+        mu1 = top[:, -1:]
+        d2 = np.maximum(mu1 - top[:, -2:-1], _EPS_GAP)
+        d_max = np.maximum(mu1 - top[:, :1], _EPS_GAP)
     mu_H_star = mu1 - in_frac * d_max
-    mu_L_star = np.broadcast_to(mu1 - d2, shape)
+    mu_L_star = (mu1 - d2).repeat(m, axis=1)
     separable = mu_H_star > mu_L_star
 
     pi0 = np.full(shape, 0.5)
@@ -434,24 +457,15 @@ def run_re(
     if sigma2 is not None and separable.any():
         # A group mean over n plays has variance sigma2 / (g_k n); the
         # threshold reads K_padded/2 members, so sigma2 is rescaled to match.
-        sigma2_k = np.broadcast_to(sigma2 * (Kp / 2) / g, shape)
+        sigma2_k = sigma2 * (Kp / 2) / g
         tau[separable] = lrt_threshold_gaussian(
-            mu_H_star[separable],
-            mu_L_star[separable],
-            pi0[separable],
-            pi1[separable],
-            Kp,
-            T,
-            opts.alpha,
-            sigma2_k[separable],
+            *(a[separable] for a in (mu_H_star, mu_L_star, pi0, pi1)),
+            Kp, T, opts.alpha, sigma2_k[separable.nonzero()[1]],
         )
 
-    # Phase 2: one scalar observation per group play; one draw per group
-    # serves every row of the block.
-    r_bar = np.empty(shape)
-    for k, members in enumerate(code.groups):
-        r_bar[:, k] = env.pull_group_sum(members, n_group, rng, trials) / n_group
-        pulls_used += n_group
+    # Phase 2: one scalar observation per group play, all in one pull.
+    r_bar = env.pull_groups_sum(n_group, rng, trials) / n_group
+    pulls_used += n_group * m
     bits = (r_bar > tau).astype(np.int64)
 
     arm = 1 + (bits << np.arange(m)).sum(axis=1)
@@ -462,24 +476,19 @@ def run_re(
         fallback = np.clip(arm % K, 1, K)
     rec = np.where(decoded_dummy, fallback, arm)
 
-    groups = [
-        {
-            "mu_hat_G": None if group_hat is None else group_hat[:, k],
-            "pi0": pi0[:, k],
-            "pi1": pi1[:, k],
-            "tau": tau[:, k],
-            "delta": bits[:, k],
-            "phase2_mean": r_bar[:, k],
-        }
-        for k in range(m)
-    ]
+    rep = trials // shape[0]  # a one-row block repeats its row per trial
     diag = {
         "prior_mode": opts.prior_mode,
         "alpha": opts.alpha,
-        "separability_flag": ~separable.all(axis=1),
-        "groups": groups,
-        "mu_H_star": mu_H_star.min(axis=1),
-        "mu_L_star": mu_L_star[:, 0],
+        "separability_flag": (~separable.all(axis=1)).repeat(rep),
+        "mu_hat_G": group_hat,
+        "pi0": pi0.repeat(rep, axis=0),
+        "pi1": pi1.repeat(rep, axis=0),
+        "tau": tau.repeat(rep, axis=0),
+        "delta": bits,
+        "phase2_mean": r_bar,
+        "mu_H_star": mu_H_star.min(axis=1).repeat(rep),
+        "mu_L_star": mu_L_star[:, 0].repeat(rep),
         "decoded_dummy": decoded_dummy,
     }
     return _run("RE", env, T, rec, pulls_used, diag)

@@ -150,10 +150,8 @@ def test_re_block_diagnostics_have_one_entry_per_trial():
     diag = run.diagnostics
     for key in ("separability_flag", "mu_H_star", "mu_L_star", "decoded_dummy"):
         assert np.shape(diag[key]) == (7,)
-    assert len(diag["groups"]) == 4
-    for group in diag["groups"]:
-        for key in ("mu_hat_G", "pi0", "pi1", "tau", "delta", "phase2_mean"):
-            assert group[key].shape == (7,)
+    for key in ("mu_hat_G", "pi0", "pi1", "tau", "delta", "phase2_mean"):
+        assert diag[key].shape == (7, 4)
 
 
 def test_run_cells_draws_one_stream_per_block():
@@ -254,14 +252,15 @@ def test_padded_re_threshold_is_each_groups_bayes_threshold():
     mu1, mu_L = prof.sorted_means[0], prof.sorted_means[0] - prof.delta_min
     m = construct_groups(K).m
     assert not run.diagnostics["separability_flag"].any()
-    for g, group in zip(real_group_sizes(K), run.diagnostics["groups"]):
+    diag = run.diagnostics
+    for k, g in enumerate(real_group_sizes(K)):
         mu_H = mu1 - (1 - 1 / g) * prof.delta_max
         v = sigma2 * m / (g * (1 - alpha) * T)  # variance of the group mean
-        pi0, pi1 = group["pi0"], group["pi1"]
+        pi0, pi1 = diag["pi0"][:, k], diag["pi1"][:, k]
         assert (pi0 != pi1).all()
         # where pi1 N(x; mu_H, v) = pi0 N(x; mu_L, v)
         bayes = 0.5 * (mu_H + mu_L) + v * np.log(pi0 / pi1) / (mu_H - mu_L)
-        np.testing.assert_allclose(group["tau"], bayes, rtol=1e-12)
+        np.testing.assert_allclose(diag["tau"][:, k], bayes, rtol=1e-12)
     assert run.diagnostics["mu_H_star"] == pytest.approx(mu1 - 5 / 6 * prof.delta_max)
 
 

@@ -293,6 +293,28 @@ def test_bounds_take_an_array_of_budgets(fn, family, sigma2):
         assert got[0] == 1.0 if fn.__name__.startswith("bound") else got[0] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "log_fn, fn, H",
+    [(log_bound_ue, bound_ue, (1e-10,)), (log_bound_sr, bound_sr, (1e-10,)),
+     (log_bound_sh, bound_sh, (1e-10,)), (log_bound_re, bound_re, (1e-10, 0.5))],
+    ids=["ue", "sr", "sh", "re"],
+)
+def test_gaussian_bounds_take_the_limit_of_an_underflowing_scale(log_fn, fn, H):
+    """With H * sigma2 below the smallest float, s = c * sigma2 is 0: the tail
+    is 1 at t = 0 and 0 past it, for scalars and arrays, without a NaN or a
+    numpy warning."""
+    T = np.array([0.0, 9.0, 1e6])
+    if log_fn is log_bound_sr:
+        T = T[1:]  # SR's bound needs T > K, so its t = T - K is positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        logs = log_fn("gaussian", 8, T, *H, 1e-320)
+        scalars = [log_fn("gaussian", 8, t, *H, 1e-320) for t in T]
+        bounds = fn("gaussian", 8, T, *H, 1e-320)
+    assert logs.tolist() == scalars == np.where(T > 0, -math.inf, math.inf).tolist()
+    assert bounds.tolist() == np.where(T > 0, 0.0, 1.0).tolist()
+
+
 def test_bounds_vanish_at_huge_budget():
     assert bound_ue("bounded", 4, 1e7, 10.0) < 1e-12
     assert bound_sr("gaussian", 4, 1e7, 10.0, 1.0) < 1e-12

@@ -18,6 +18,7 @@ from bestarm import (
     ReOptions,
     SeparabilityViolated,
     bound_re,
+    construct_groups,
     gap_profile,
     hardness,
     run_policy,
@@ -69,9 +70,10 @@ class CountingEnv:
             self.arm_pulls[int(arm)] = self.arm_pulls.get(int(arm), 0) + n
         return self._env.pull_arms_sum(arms, n, r)
 
-    def pull_group_sum(self, members, n, r, trials=1):
-        self.group_pulls.append((tuple(members), n))
-        return self._env.pull_group_sum(members, n, r, trials)
+    def pull_groups_sum(self, n, r, trials=1):
+        for members in construct_groups(self.K).groups:
+            self.group_pulls.append((tuple(members), n))
+        return self._env.pull_groups_sum(n, r, trials)
 
 
 # --------------------------------------------------------------------- UE
@@ -319,9 +321,9 @@ def test_re_low_noise_spot_run():
     diag = runs[0].diagnostics
     assert diag["mu_H_star"] == pytest.approx(0.625)
     assert diag["mu_L_star"] == pytest.approx(0.5)
-    for g in diag["groups"]:
-        assert g["tau"] == pytest.approx(0.5625, abs=1e-12)
-        assert g["pi0"] == 0.5
+    for k in range(3):
+        assert diag["tau"][:, k] == pytest.approx(0.5625, abs=1e-12)
+        assert diag["pi0"][:, k] == 0.5
 
 
 def test_re_decodes_true_arm_most_of_the_time():
@@ -337,8 +339,8 @@ def test_re_flags_non_separable_instances():
     diag = run.diagnostics
     assert diag["separability_flag"].all()
     mid = 0.5 * (diag["mu_H_star"] + diag["mu_L_star"])
-    for g in diag["groups"]:
-        assert g["tau"] == pytest.approx(mid, abs=1e-12)
+    for k in range(3):
+        assert diag["tau"][:, k] == pytest.approx(mid, abs=1e-12)
 
 
 def test_re_bounded_family_uses_midpoint():
@@ -346,8 +348,8 @@ def test_re_bounded_family_uses_midpoint():
     run = run_re(BanditEnv(inst), 120, rng())
     diag = run.diagnostics
     mid = 0.5 * (diag["mu_H_star"] + diag["mu_L_star"])
-    for g in diag["groups"]:
-        assert g["tau"] == pytest.approx(mid, abs=1e-12)
+    for k in range(3):
+        assert diag["tau"][:, k] == pytest.approx(mid, abs=1e-12)
 
 
 def test_re_padded_instance_noiseless_boundary():
@@ -365,7 +367,7 @@ def test_re_padded_instance_noiseless_with_spread_gaps():
     # distinct gaps move the groups off the threshold knife edge
     run = run_re(gaussian_env((0.4, 1.0, 0.55, 0.5, 0.45, 0.6), 0.0), 60, rng())
     assert run.correct and run.recommended_arm == 2
-    assert [g["delta"] for g in run.diagnostics["groups"]] == [1, 0, 0]
+    assert [run.diagnostics["delta"][:, k] for k in range(3)] == [1, 0, 0]
 
 
 def test_re_one_member_group_keeps_indifferent_priors():
@@ -373,9 +375,9 @@ def test_re_one_member_group_keeps_indifferent_priors():
     # mean is mu_1 itself, so its prior has no interval to ramp over
     env = gaussian_env((1.0, 0.6, 0.5, 0.45, 0.4), 0.1)
     run = run_re(env, 400, rng(), ReOptions(alpha=0.2, prior_mode="plugin"))
-    groups = run.diagnostics["groups"]
-    assert groups[2]["pi0"] == groups[2]["pi1"] == 0.5
-    assert (groups[0]["pi0"] != 0.5).all()
+    diag = run.diagnostics
+    assert diag["pi0"][:, 2] == diag["pi1"][:, 2] == 0.5
+    assert (diag["pi0"][:, 0] != 0.5).all()
 
 
 def test_re_plugin_mode():
@@ -426,12 +428,13 @@ class ScriptedEnv:
     def pull_arms_sum(self, arms, n, r):
         return n * np.asarray(self.arm_means, dtype=float)[np.asarray(arms) - 1]
 
-    def pull_group_sum(self, members, n, r, trials=1):
-        members = set(members)
+    def pull_groups_sum(self, n, r, trials=1):
         # groups {3,4} and {5,6} read high, group {2,4,6} reads low
-        if members in ({3, 4}, {5, 6}):
-            return n * 7.0
-        return n * -5.0
+        high = [
+            set(members) in ({3, 4}, {5, 6})
+            for members in construct_groups(self.K).groups
+        ]
+        return np.tile(np.where(high, n * 7.0, n * -5.0), (trials, 1))
 
 
 def test_re_dummy_decode_falls_back_to_wrapped_index():

@@ -5,7 +5,9 @@ draw law.
 The Gaussian and Bernoulli BanditEnv cases of the empty-group,
 out-of-range and member-order checks live in test_reference_oracles.py
 (next to the reference sampler); here they run on the case studies, and
-the non-integral and zero-play checks run on all four environments."""
+the non-integral and zero-play checks run on all four environments. The
+block pull of every binary group is checked against single group pulls
+on every reward law."""
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from bestarm import (
     BanditEnv,
     BanditInstance,
     Bernoulli,
+    BoundedUnit,
     EmptyGroup,
     Gaussian,
     IndexOutOfRange,
     RadarScenario,
+    construct_groups,
 )
 from bestarm.casestudies import JammerEnv, JammerScenario, RadarEnv
 
@@ -113,3 +117,57 @@ def test_radar_single_channel_pull_rejects_fractional_channel():
     assert env.pull_arm_sum(2.0, 3, np.random.default_rng(0)) == env.pull_arm_sum(
         2, 3, np.random.default_rng(0)
     )
+
+
+def bandit(family):
+    return lambda K: BanditEnv(
+        BanditInstance(means=tuple(np.linspace(0.1, 0.9, K)), family=family)
+    )
+
+
+def radar(with_iq):
+    def make(K):
+        scenario = RadarScenario(K=K, active_channel=min(3, K), noise_var=1.0)
+        r = np.random.default_rng(3)
+        iq = (r.normal(size=200), r.normal(size=200)) if with_iq else None
+        return RadarEnv(scenario, iq=iq)
+
+    return make
+
+
+BLOCK_ENVS = {
+    "gaussian-0": bandit(Gaussian(0.0)),
+    "gaussian-0.1": bandit(Gaussian(0.1)),
+    "bernoulli": bandit(Bernoulli()),
+    "bounded-unit": bandit(BoundedUnit()),
+    "jammer-0": lambda K: JammerEnv(JammerScenario(K, min(3, K), noise_var=0.0)),
+    "jammer-0.01": lambda K: JammerEnv(JammerScenario(K, min(3, K), noise_var=0.01)),
+    "radar": radar(False),
+    "radar-iq": radar(True),
+}
+
+
+@pytest.mark.parametrize("K", [2, 5, 8, 12, 1024])
+@pytest.mark.parametrize("name", sorted(BLOCK_ENVS))
+def test_block_group_pull_is_the_single_pulls_in_group_order(name, K):
+    env = BLOCK_ENVS[name](K)
+    groups = construct_groups(K).groups
+    block, single = np.random.default_rng(11), np.random.default_rng(11)
+    got = env.pull_groups_sum(3, block, 4)
+    want = np.stack([env.pull_group_sum(g, 3, single, 4) for g in groups], axis=1)
+    assert got.shape == (4, len(groups))
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+    assert block.bit_generator.state == single.bit_generator.state
+    # a second block reads the cached groups and makes the same draws again
+    again = env.pull_groups_sum(3, np.random.default_rng(11), 4)
+    assert again.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("name", sorted(BLOCK_ENVS))
+def test_block_group_pull_of_no_plays_draws_nothing(name, n):
+    env = BLOCK_ENVS[name](12)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert np.array_equal(env.pull_groups_sum(n, rng, 5), np.zeros((5, 4)))
+    assert rng.bit_generator.state == state

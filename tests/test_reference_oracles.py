@@ -220,7 +220,8 @@ def test_cli_import_loads_no_scipy(cli_env):
 class SequenceEnv:
     """A custom environment that implements the pull protocol itself.
 
-    It reads `members` as a plain sequence and records what it was given.
+    Its block pull plays the groups of construct_groups(K) one at a time,
+    reads each group's members as a plain sequence and records them.
     """
 
     def __init__(self, instance):
@@ -236,11 +237,14 @@ class SequenceEnv:
     def pull_arms_sum(self, arms, n, rng):
         return self.inner.pull_arms_sum(arms, n, rng)
 
-    def pull_group_sum(self, members, n, rng, trials=1):
-        self.seen.append(members)
-        arms = [int(members[i]) for i in range(len(members))]
-        assert arms == sorted(set(arms)) == list(members)
-        return self.inner.pull_group_sum(arms, n, rng, trials)
+    def pull_groups_sum(self, n, rng, trials=1):
+        sums = []
+        for members in construct_groups(self.K).groups:
+            self.seen.append(members)
+            arms = [int(members[i]) for i in range(len(members))]
+            assert arms == sorted(set(arms)) == list(members)
+            sums.append(self.inner.pull_group_sum(arms, n, rng, trials))
+        return np.stack(sums, axis=1)
 
 
 @pytest.mark.parametrize("K", [5, 8])

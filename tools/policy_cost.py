@@ -1,16 +1,19 @@
 """Per-trial CPU cost of each policy, in-process, at K = 16, 256 and 1024.
 
     PYTHONPATH=src python tools/policy_cost.py [--trials 640] [--seconds 0.25]
+        [--family gaussian|bernoulli]
 
 Each cell is one `experiments.run_cells` call for one algorithm on a
-single-gap Gaussian instance (gap 0.5, sigma2 0.1) at T = 1.5 K, so the
-figure includes making the trials' generators and the harness's own work.
+single-gap instance at T = 1.5 K: Gaussian means 1.0 and 0.5 with sigma2
+0.1 (the default), or Bernoulli means 0.9 and 0.4. So the figure includes
+making the trials' generators and the harness's own work.
 After one warm-up call per cell, the cell is called with seeds 1, 2, ...
 until the calls have taken --seconds of the calling thread's CPU time, so
 a cheap cell is timed over as long a span as a costly one. The script
 prints one JSON object: per K and policy, the median over those calls of
-their thread CPU time divided by the trial count, in microseconds, and
-under "machine" the core count and the Python and numpy versions.
+their thread CPU time divided by the trial count, in microseconds, the
+family under "family", and under "machine" the core count and the Python
+and numpy versions.
 bestarm is imported before numpy, so this process, like the CLI, loads
 OpenBLAS with one thread and no idle BLAS worker spins beside the timed
 calls. It runs against whichever bestarm is first on the path, so the
@@ -24,13 +27,15 @@ import platform
 import statistics
 import time
 
-from bestarm import BanditEnv, BanditInstance, Gaussian
+from bestarm import BanditEnv, BanditInstance, Bernoulli, Gaussian
 from bestarm.experiments import run_cells
 
 import numpy as np  # after bestarm, which loads it with one BLAS thread
 
 KS = (16, 256, 1024)
 POLICIES = ("UE", "SR", "SH", "RE")
+# the best arm's mean, the others' mean and the reward family
+FAMILIES = {"gaussian": (1.0, 0.5, Gaussian(0.1)), "bernoulli": (0.9, 0.4, Bernoulli())}
 
 
 def cost_us(env, policy, T, trials, seconds) -> float:
@@ -47,15 +52,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--trials", type=int, default=640)
     parser.add_argument("--seconds", type=float, default=0.25)
+    parser.add_argument("--family", choices=sorted(FAMILIES), default="gaussian")
     args = parser.parse_args()
+    best, rest, family = FAMILIES[args.family]
     table = {}
     for K in KS:
-        means = (1.0,) + (0.5,) * (K - 1)
-        env = BanditEnv(BanditInstance(means=means, family=Gaussian(0.1)))
+        means = (best,) + (rest,) * (K - 1)
+        env = BanditEnv(BanditInstance(means=means, family=family))
         T = 3 * K // 2
         table[str(K)] = {
             p: round(cost_us(env, p, T, args.trials, args.seconds), 1) for p in POLICIES
         }
+    table["family"] = args.family
     table["machine"] = {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
