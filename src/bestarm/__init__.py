@@ -44,7 +44,6 @@ from .errors import (
     DecodedDummyArm,
     DegenerateInterval,
     DuplicateBestArm,
-    EmptyGroup,
     IndexOutOfRange,
     InvalidK,
     IoFailure,
@@ -76,7 +75,7 @@ from .casestudies import (
 __all__ = [
     "BanditInstance", "Bernoulli", "BoundedUnit", "Gaussian", "gap_profile",
     "BestArmError", "BudgetTooSmall", "ConfigParse", "CsvFormatError",
-    "DecodedDummyArm", "DegenerateInterval", "DuplicateBestArm", "EmptyGroup",
+    "DecodedDummyArm", "DegenerateInterval", "DuplicateBestArm",
     "IndexOutOfRange", "InvalidK", "IoFailure",
     "SeparabilityViolated", "SupportViolation",
     "construct_groups", "bound_re", "hardness",

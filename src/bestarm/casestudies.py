@@ -141,8 +141,10 @@ class RadarScenario:
     delay_range: tuple[float, float] = (1e-6, 10e-6)
 
     def __post_init__(self) -> None:
-        if self.K < 2:
-            raise InvalidK(f"need K >= 2 channels, got {self.K}")
+        if not (isinstance(self.K, (int, np.integer)) and 2 <= self.K <= MAX_K):
+            raise InvalidK(
+                f"need an int K with 2 <= K <= {MAX_K} channels, got {self.K!r}"
+            )
         if not (0 < self.fs < math.inf and 0 < self.dwell_T < math.inf):
             raise SupportViolation("fs and dwell_T must be finite and positive")
         if self.N < 1:

@@ -17,13 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DuplicateBestArm,
-    EmptyGroup,
-    IndexOutOfRange,
-    InvalidK,
-    SupportViolation,
-)
+from .errors import DuplicateBestArm, IndexOutOfRange, InvalidK, SupportViolation
 
 # Most arms a user's K may ask for. Groups, codebooks and generated
 # instances hold per-arm data, so a larger K would exhaust memory.
@@ -187,21 +181,3 @@ def _check_arms(instance: BanditInstance, arms: np.ndarray) -> np.ndarray:
         raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
     return arms - 1
 
-
-def _member_indices(instance: BanditInstance, members) -> np.ndarray:
-    """0-based indices of the distinct members of a group, ascending.
-
-    Members of any shape are read as the set of arms they hold. Raises
-    EmptyGroup for no members and IndexOutOfRange for an arm outside [1, K],
-    naming the lowest. One comparison shows a 1-D array that rises strictly,
-    as run_re passes its groups, to be sorted and distinct; any other input
-    goes through np.unique. A sorted array is in range when its ends are.
-    """
-    arms = _arm_array(members)
-    if arms.size == 0:
-        raise EmptyGroup("group pull needs at least one member")
-    if arms.ndim != 1 or not (arms[1:] > arms[:-1]).all():
-        arms = np.unique(arms)
-    if arms[0] < 1 or arms[-1] > instance.K:
-        _check_arms(instance, arms)  # raises IndexOutOfRange
-    return arms - 1

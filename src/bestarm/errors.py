@@ -23,10 +23,6 @@ class IndexOutOfRange(BestArmError):
     """An arm index lies outside the valid range."""
 
 
-class EmptyGroup(BestArmError):
-    """A group pull was requested for an empty member set."""
-
-
 class InvalidK(BestArmError):
     """Arm count is too small to build groups (K < 2)."""
 

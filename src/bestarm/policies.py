@@ -7,13 +7,12 @@ a set of arms:
 
 * ``pull_arms_sum(arms, n, rng)`` -- one sum of n i.i.d. rewards per entry
   of an int array of arms, of any shape;
-* ``pull_group_sum(members, n, rng, trials)`` -- one sum of n i.i.d.
-  group-play rewards per trial;
-* ``pull_groups_sum(n, rng, trials)`` -- those sums for every binary group.
+* ``pull_groups_sum(n, rng, trials)`` -- one sum of n i.i.d. group-play
+  rewards per trial for each binary group of construct_groups(K).
 
 One group play costs one unit of budget (the agent probes a subset and sees
 one scalar), matching the combinatorial-pull model. ``BanditEnv`` adapts a
-``BanditInstance`` and owns the pull contract (input checks, n <= 0); the
+``BanditInstance`` and owns the pull contract (arm checks, n <= 0); the
 case-study environments subclass it and override only the observation law,
 its ``_arm_sums`` and ``_group_sums`` hooks.
 """
@@ -44,20 +43,17 @@ class BanditEnv:
     the RE threshold reads. Arms are 1-based. A policy running a block of
     trials passes `pull_arms_sum` an int64 array of shape (trials, arms),
     one row per trial with its arms ascending, and gets one sum per entry
-    back; a 1-D array, range or list of arms is read the same way. The
-    `members` of a group pull arrive as a sorted read-only int64 array
-    shared between trials, and the pull returns one sum per trial, shape
-    (trials,); `pull_groups_sum` plays each group of construct_groups(K)
-    and returns shape (trials, m). The draws for a block come from the one
-    generator `rng` of that block.
+    back; a 1-D array, range or list of arms is read the same way.
+    `pull_groups_sum` plays each group of construct_groups(K) and returns
+    one sum per trial and group, shape (trials, m). The draws for a block
+    come from the one generator `rng` of that block.
 
-    Both single pulls check their input first, at every n: arms are whole
-    numbers in [1, K] (else IndexOutOfRange), and a group's members are
-    nonempty (else EmptyGroup). Members of any shape are read as the set of
-    arms they hold. With n <= 0 a pull returns zeros; otherwise the law hook
-    `_arm_sums` draws from 0-based int64 indices and `_group_sums` from a
-    tuple of them, group k before group k+1; neither mutates them. A custom
-    environment subclasses BanditEnv and overrides only these hooks.
+    The arm pull checks its input first, at every n: arms are whole numbers
+    in [1, K] (else IndexOutOfRange). With n <= 0 a pull returns zeros;
+    otherwise the law hook `_arm_sums` draws from 0-based int64 indices and
+    `_group_sums` from a tuple of sorted ones, one array per group, group k
+    before group k+1; neither mutates them. A custom environment subclasses
+    BanditEnv and overrides only these hooks.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -94,15 +90,6 @@ class BanditEnv:
             return np.zeros(idx.shape)
         return self._arm_sums(idx, n, rng)
 
-    def pull_group_sum(
-        self, members, n: int, rng: np.random.Generator, trials: int = 1
-    ) -> np.ndarray:
-        """Sums over n group plays, one per trial, shape (trials,)."""
-        idx = core._member_indices(self.instance, members)
-        if n <= 0:
-            return np.zeros(trials)
-        return self._group_sums((idx,), n, rng, trials)[:, 0]
-
     def pull_groups_sum(self, n: int, rng, trials: int = 1) -> np.ndarray:
         """Sums over n plays of each binary group, shape (trials, m)."""
         if n <= 0:
@@ -111,9 +98,8 @@ class BanditEnv:
 
     @cached_property
     def _groups(self) -> tuple[np.ndarray, ...]:
-        """construct_groups(K)'s groups as 0-based indices, checked once."""
-        code = construct_groups(self.K)
-        groups = tuple(core._member_indices(self.instance, g) for g in code.groups)
+        """construct_groups(K)'s groups as 0-based indices."""
+        groups = tuple(g - 1 for g in construct_groups(self.K).groups)
         self._groups_mean = self._group_means(groups)  # computed: _groups is unset
         return groups
 

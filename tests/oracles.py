@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from bestarm.casestudies import _EDGE_EPS, JammerScenario, RadarScenario
-from bestarm.core import BanditInstance, Bernoulli, Gaussian, _member_indices
-from bestarm.errors import (
-    BudgetTooSmall,
-    DecodedDummyArm,
-    EmptyGroup,
-    IndexOutOfRange,
-)
+from bestarm.core import BanditInstance, Bernoulli, Gaussian, _arm_array, _check_arms
+from bestarm.errors import BudgetTooSmall, DecodedDummyArm, IndexOutOfRange
 from bestarm.grouping import construct_groups, decode_best_arm
 from bestarm.policies import (
     _EPS_GAP,
@@ -74,6 +69,31 @@ def sample_arm(instance: BanditInstance, arm: int, rng: np.random.Generator) -> 
     return float(rng.random() < mu)
 
 
+def member_indices(instance: BanditInstance, members) -> np.ndarray:
+    """0-based indices of a group's members, read as a sorted set of whole
+    arms in [1, K]. Raises IndexOutOfRange for any other arm and ValueError
+    for no members."""
+    idx = _check_arms(instance, _arm_array(sorted(set(members))))
+    if idx.size == 0:
+        raise ValueError("a group needs at least one member")
+    return idx
+
+
+def pull_group_sum(
+    env: BanditEnv, members, n: int, rng: np.random.Generator, trials: int = 1
+) -> np.ndarray:
+    """Sums over n plays of an arbitrary group, one per trial, shape (trials,).
+
+    The subset pull of the observation model, drawn by the environment's
+    group law hook as a block of one group; n <= 0 gives zeros and draws
+    nothing.
+    """
+    idx = member_indices(env.instance, members)
+    if n <= 0:
+        return np.zeros(trials)
+    return env._group_sums((idx,), n, rng, trials)[:, 0]
+
+
 def sample_group(
     instance: BanditInstance, members, rng: np.random.Generator
 ) -> float:
@@ -82,7 +102,7 @@ def sample_group(
     For the Gaussian family the result is N(mean of member means,
     sigma2/|members|).
     """
-    idx = _member_indices(instance, members)
+    idx = member_indices(instance, members)
     mu = instance._mean_array[idx]
     if isinstance(instance.family, Gaussian):
         draws = rng.normal(mu, np.sqrt(instance.family.sigma2))
@@ -115,7 +135,7 @@ def jammer_reward(scenario: JammerScenario, subset: set, rng) -> float:
     """One probe of a waveform subset: (1/m) 1{j* in subset} + noise."""
     m = len(subset)
     if m == 0:
-        raise EmptyGroup("cannot probe an empty waveform subset")
+        raise ValueError("cannot probe an empty waveform subset")
     for j in subset:
         if not 1 <= j <= scenario.K:
             raise IndexOutOfRange(f"waveform {j} not in 1..{scenario.K}")
@@ -180,7 +200,7 @@ def radar_energy(block) -> float:
     """Sum of squared I/Q magnitudes."""
     arr = np.asarray(block)
     if arr.size == 0:
-        raise EmptyGroup("energy of an empty block is undefined")
+        raise ValueError("energy of an empty block is undefined")
     return float(np.sum(arr.real**2 + arr.imag**2))
 
 
@@ -384,7 +404,7 @@ def run_re(
     # Phase 2: one scalar observation per group play.
     detections = []
     for group, real in zip(groups, reals):
-        s = env.pull_group_sum(real, n_group, rng)[0]
+        s = pull_group_sum(env, real, n_group, rng)[0]
         r_bar = s / n_group
         pulls_used += n_group
         group["delta"] = 1 if r_bar > group["tau"] else 0

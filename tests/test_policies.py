@@ -51,7 +51,8 @@ def single_gap_env(K, delta, sigma2, mu_star=1.0):
 
 
 class CountingEnv:
-    """Forwarding wrapper that logs per-arm pull counts."""
+    """Forwarding wrapper that logs per-arm pull counts and each group
+    played, with its n."""
 
     def __init__(self, env):
         self._env = env
@@ -388,6 +389,21 @@ def test_re_plugin_mode():
     assert run.diagnostics["alpha"] == 0.2
     # phase 1 spent floor(0.2*400/8)=10 pulls per arm, phase 2 floor(320/3) per group
     assert run.pulls_used == 8 * 10 + 3 * (320 // 3)
+
+
+@pytest.mark.parametrize("K", [16, 12])
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_re_block_plays_each_group_once_and_counts_its_pulls(K, alpha):
+    env = CountingEnv(single_gap_env(K, 0.5, 0.1))
+    T, trials = 20 * K, 4
+    run = run_re(env, T, rng(), ReOptions(alpha=alpha), trials)
+    code = construct_groups(K)
+    n_group = int((1.0 - alpha) * T) // code.m
+    n1 = int(alpha * T) // K
+    assert env.group_pulls == [(tuple(g), n_group) for g in code.groups]
+    # arm pulls are counted over the block's rows, n1 per arm in each trial
+    assert env.arm_pulls == {a: trials * n1 for a in range(1, K + 1) if n1}
+    assert run.pulls_used == n_group * code.m + n1 * K
 
 
 def test_re_options_validated():

@@ -1,13 +1,11 @@
-"""One pull contract for every environment: BanditEnv checks arms and
-members the same way at every n, and the case studies supply only their
-draw law.
+"""One pull contract for every environment: BanditEnv checks arms the same
+way at every n, and the case studies supply only their draw law.
 
-The Gaussian and Bernoulli BanditEnv cases of the empty-group,
-out-of-range and member-order checks live in test_reference_oracles.py
-(next to the reference sampler); here they run on the case studies, and
-the non-integral and zero-play checks run on all four environments. The
-block pull of every binary group is checked against single group pulls
-on every reward law."""
+The Gaussian and Bernoulli BanditEnv cases of the out-of-range check live
+in test_reference_oracles.py; here it runs on the case studies, and the
+non-integral and zero-play checks run on all four environments. The block
+pull of every binary group is checked against one-group pulls through the
+law hook on every reward law."""
 
 import numpy as np
 import pytest
@@ -17,13 +15,13 @@ from bestarm import (
     BanditInstance,
     Bernoulli,
     BoundedUnit,
-    EmptyGroup,
     Gaussian,
     IndexOutOfRange,
     RadarScenario,
     construct_groups,
 )
 from bestarm.casestudies import JammerEnv, JammerScenario, RadarEnv
+from oracles import pull_group_sum
 
 MEANS = (0.1, 0.4, 0.6, 0.8, 0.3)
 ENVS = {
@@ -51,15 +49,6 @@ def assert_refused(env, bad_values, error, n):
     for bad in bad_values:
         with pytest.raises(error):
             env.pull_arms_sum(bad, n, rng)
-        with pytest.raises(error):
-            env.pull_group_sum(bad, n, rng)
-
-
-@pytest.mark.parametrize("n", [0, 3])
-def test_case_study_empty_group_raises(case_env, n):
-    for members in (set(), [], np.array([], dtype=np.int64)):
-        with pytest.raises(EmptyGroup):
-            case_env.pull_group_sum(members, n, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -77,30 +66,7 @@ def test_zero_plays_draw_nothing(env):
     state = rng.bit_generator.state
     arms = np.array([[1, 3], [2, 5]])
     assert np.array_equal(env.pull_arms_sum(arms, 0, rng), np.zeros((2, 2)))
-    assert np.array_equal(env.pull_group_sum([1, 3], 0, rng, 4), np.zeros(4))
     assert rng.bit_generator.state == state
-
-
-def test_case_study_member_order_and_duplicates_leave_the_draw_unchanged(case_env):
-    variants = [
-        [4, 1, 3],
-        [3, 3, 1, 4, 4],
-        {4, 3, 1},
-        (1.0, 3.0, 4.0),
-        np.array([4, 4, 1, 3]),
-        np.array([1, 3, 4], dtype=np.int32),
-        np.array([[1, 3], [4, 4]]),
-    ]
-    want = case_env.pull_group_sum([1, 3, 4], 9, np.random.default_rng(7), 4)
-    for members in variants:
-        got = case_env.pull_group_sum(members, 9, np.random.default_rng(7), 4)
-        assert np.array_equal(got, want)
-
-
-def test_zero_dimensional_members_are_one_arm(env):
-    want = env.pull_group_sum([3], 9, np.random.default_rng(7), 4)
-    got = env.pull_group_sum(np.array(3), 9, np.random.default_rng(7), 4)
-    assert np.array_equal(got, want)
 
 
 def test_integral_arms_of_any_type_give_the_same_draw(env):
@@ -154,7 +120,7 @@ def test_block_group_pull_is_the_single_pulls_in_group_order(name, K):
     groups = construct_groups(K).groups
     block, single = np.random.default_rng(11), np.random.default_rng(11)
     got = env.pull_groups_sum(3, block, 4)
-    want = np.stack([env.pull_group_sum(g, 3, single, 4) for g in groups], axis=1)
+    want = np.stack([pull_group_sum(env, g, 3, single, 4) for g in groups], axis=1)
     assert got.shape == (4, len(groups))
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
     assert block.bit_generator.state == single.bit_generator.state
