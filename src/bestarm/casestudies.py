@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_K, BanditInstance, Gaussian
-from .errors import CsvFormatError, IndexOutOfRange, InvalidK, SupportViolation
+from .core import BanditInstance, Gaussian, check_K
+from .errors import CsvFormatError, IndexOutOfRange, SupportViolation
 from .experiments import run_cells
 from .policies import BanditEnv, ReOptions
 
@@ -55,8 +55,7 @@ class JammerScenario:
     noise_var: float
 
     def __post_init__(self) -> None:
-        if not 2 <= self.K <= MAX_K:
-            raise InvalidK(f"need 2 <= K <= {MAX_K} waveforms, got {self.K}")
+        check_K(self.K)
         if not 1 <= self.j_star <= self.K:
             raise IndexOutOfRange(f"j_star {self.j_star} not in 1..{self.K}")
         if not 0 <= self.noise_var < math.inf:
@@ -82,13 +81,10 @@ class JammerEnv(BanditEnv):
         family = Gaussian(scenario.noise_var)
         super().__init__(BanditInstance(means=means, family=family))
 
-    def _group_sums(self, groups, n: int, rng, trials: int) -> np.ndarray:
-        offsets = n * self._group_means(groups)
-        nv = self.scenario.noise_var
-        if nv == 0.0:
-            return np.tile(offsets, (trials, 1))
-        noise = rng.normal(0.0, math.sqrt(n * nv), size=(len(groups), trials))
-        return (offsets[:, None] + noise).T
+    def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
+        scale = math.sqrt(n * self.scenario.noise_var)
+        noise = rng.normal(0.0, scale, size=(len(self._groups), trials))
+        return (n * self._group_mean[:, None] + noise).T
 
 
 def run_jammer_experiment(
@@ -106,8 +102,7 @@ def run_jammer_experiment(
     random numbers), which sharpens the estimated crossing between the
     grouped policy and the baselines.
     """
-    if not 2 <= K <= MAX_K:
-        raise InvalidK(f"need 2 <= K <= {MAX_K} waveforms, got {K}")
+    check_K(K)
     if j_star is None:
         j_star = 1 + int(np.random.default_rng([master_seed, 13]).integers(K))
     results = []
@@ -141,10 +136,7 @@ class RadarScenario:
     delay_range: tuple[float, float] = (1e-6, 10e-6)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.K, (int, np.integer)) and 2 <= self.K <= MAX_K):
-            raise InvalidK(
-                f"need an int K with 2 <= K <= {MAX_K} channels, got {self.K!r}"
-            )
+        check_K(self.K)
         if not (0 < self.fs < math.inf and 0 < self.dwell_T < math.inf):
             raise SupportViolation("fs and dwell_T must be finite and positive")
         if self.N < 1:
@@ -423,11 +415,11 @@ class RadarEnv(BanditEnv):
             out[active] = self._active_sums(idx.size - idle, n, rng)
         return out
 
-    def _group_sums(self, groups, n: int, rng, trials: int) -> np.ndarray:
+    def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
         """Per group, in order: the active channel, then all idle members at once."""
         scenario = self.scenario
-        out = np.empty((trials, len(groups)))
-        for k, idx in enumerate(groups):
+        out = np.empty((trials, len(self._groups)))
+        for k, idx in enumerate(self._groups):
             has_active = scenario.active_channel - 1 in idx
             total = np.zeros(trials)
             if has_active:

@@ -24,6 +24,13 @@ from .errors import DuplicateBestArm, IndexOutOfRange, InvalidK, SupportViolatio
 MAX_K = 2**16
 
 
+def check_K(K) -> int:
+    """K as an int: an int or numpy integer in [2, MAX_K], else InvalidK."""
+    if not (isinstance(K, (int, np.integer)) and 2 <= K <= MAX_K):
+        raise InvalidK(f"need an int K with 2 <= K <= {MAX_K}, got {K!r}")
+    return int(K)
+
+
 @dataclass(frozen=True)
 class Gaussian:
     sigma2: float
@@ -154,30 +161,15 @@ class RngStream:
         return np.random.default_rng([self.master_seed, self.stream_id])
 
 
-def _arm_array(arms) -> np.ndarray:
-    """Arms as an int64 array of any shape; an array passes through (int64
-    uncopied) and any other iterable becomes a 1-D array. A value that is
-    not a whole number in int64 raises IndexOutOfRange."""
-    values = arms if isinstance(arms, np.ndarray) else np.asarray(list(arms))
-    if values.dtype.kind in "iu":
-        return values.astype(np.int64, copy=False)
-    try:
-        with np.errstate(invalid="ignore"):
-            whole = values.astype(np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise IndexOutOfRange(f"arm index is not an int64: {exc}") from exc
-    bad = whole != values
-    if bad.any():
-        arm = values.flat[np.argmax(bad)]
-        raise IndexOutOfRange(f"arm {arm} is not a whole number in int64")
-    return whole
-
-
-def _check_arms(instance: BanditInstance, arms: np.ndarray) -> np.ndarray:
-    """0-based indices of an int64 array of arms, range-checked at once."""
+def _check_arms(instance: BanditInstance, arms) -> np.ndarray:
+    """0-based int64 indices of an integer array, list or range of arms,
+    range-checked at once. Any other dtype, float and bool included, raises
+    IndexOutOfRange."""
+    arms = np.asarray(arms)
+    if arms.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"arms must be integers, got dtype {arms.dtype}")
     bad = (arms < 1) | (arms > instance.K)
     if bad.any():
         arm = int(arms.flat[np.argmax(bad)])
         raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
-    return arms - 1
-
+    return arms.astype(np.int64, copy=False) - 1

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_K
-from .errors import DecodedDummyArm, IndexOutOfRange, InvalidK
+from .core import check_K
+from .errors import DecodedDummyArm, IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,15 @@ class GroupCode:
     dummy_arms: range
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def construct_groups(K: int) -> GroupCode:
     """Build the log2(K_padded) groups over arms 1..K.
 
-    Memoised per K: a GroupCode and its arrays are read-only, so every
-    caller can share one. Raises InvalidK for K outside [2, MAX_K].
+    Memoised per K and its type, so a float equal to a cached int K is
+    still refused. A GroupCode and its arrays are read-only, so every
+    caller can share one. Raises InvalidK unless K is an int in [2, MAX_K].
     """
-    if not 2 <= K <= MAX_K:
-        raise InvalidK(f"need 2 <= K <= {MAX_K}, got {K}")
+    K = check_K(K)
     K_padded = 2 ** (K - 1).bit_length()
     m = K_padded.bit_length() - 1
     arms = np.arange(1, K + 1, dtype=np.int64)

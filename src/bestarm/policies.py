@@ -43,17 +43,18 @@ class BanditEnv:
     the RE threshold reads. Arms are 1-based. A policy running a block of
     trials passes `pull_arms_sum` an int64 array of shape (trials, arms),
     one row per trial with its arms ascending, and gets one sum per entry
-    back; a 1-D array, range or list of arms is read the same way.
+    back; a 1-D integer array, range or list of ints is read the same way.
     `pull_groups_sum` plays each group of construct_groups(K) and returns
     one sum per trial and group, shape (trials, m). The draws for a block
     come from the one generator `rng` of that block.
 
-    The arm pull checks its input first, at every n: arms are whole numbers
-    in [1, K] (else IndexOutOfRange). With n <= 0 a pull returns zeros;
-    otherwise the law hook `_arm_sums` draws from 0-based int64 indices and
-    `_group_sums` from a tuple of sorted ones, one array per group, group k
-    before group k+1; neither mutates them. A custom environment subclasses
-    BanditEnv and overrides only these hooks.
+    The arm pull checks its input first, at every n: arms are integers in
+    [1, K] (else IndexOutOfRange; floats and bools are refused). With
+    n <= 0 a pull returns zeros; otherwise the law hook `_arm_sums` draws
+    from 0-based int64 indices, and `_group_sums(n, rng, trials)` plays the
+    0-based groups `self._groups`, group k before group k+1; neither
+    mutates them. A custom environment subclasses BanditEnv and overrides
+    only these hooks.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -85,7 +86,7 @@ class BanditEnv:
     def pull_arms_sum(self, arms, n: int, rng: np.random.Generator) -> np.ndarray:
         """n-pull reward sums, one independent entry per entry of `arms`,
         in the same shape."""
-        idx = core._check_arms(self.instance, core._arm_array(arms))
+        idx = core._check_arms(self.instance, arms)
         if n <= 0:
             return np.zeros(idx.shape)
         return self._arm_sums(idx, n, rng)
@@ -94,14 +95,18 @@ class BanditEnv:
         """Sums over n plays of each binary group, shape (trials, m)."""
         if n <= 0:
             return np.zeros((trials, len(self._groups)))
-        return self._group_sums(self._groups, n, rng, trials)
+        return self._group_sums(n, rng, trials)
 
     @cached_property
     def _groups(self) -> tuple[np.ndarray, ...]:
         """construct_groups(K)'s groups as 0-based indices."""
-        groups = tuple(g - 1 for g in construct_groups(self.K).groups)
-        self._groups_mean = self._group_means(groups)  # computed: _groups is unset
-        return groups
+        return tuple(g - 1 for g in construct_groups(self.K).groups)
+
+    @cached_property
+    def _group_mean(self) -> np.ndarray:
+        """Mean of each group's member means, shape (m,)."""
+        mu = self.instance._mean_array
+        return np.array([float(mu[idx].sum()) / len(idx) for idx in self._groups])
 
     def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
         """Sufficient statistics, one numpy call filled in row-major order:
@@ -117,26 +122,19 @@ class BanditEnv:
             return np.asarray(sums, dtype=float)
         return rng.binomial(n, mu).astype(float)
 
-    def _group_means(self, groups) -> np.ndarray:
-        """Mean of each group's member means; the own groups' are cached."""
-        if groups is self.__dict__.get("_groups"):
-            return self._groups_mean
-        mu = self.instance._mean_array
-        return np.array([float(mu[idx].sum()) / len(idx) for idx in groups])
-
-    def _group_sums(self, groups, n: int, rng, trials: int) -> np.ndarray:
+    def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
         """A group play averages one draw per member: N(mean mu, sigma2/g)
         for Gaussian rewards, all groups in one call; per-member Binomial
         counts otherwise, group by group."""
         family = self.instance.family
         if isinstance(family, Gaussian):
-            g = np.array([len(idx) for idx in groups], dtype=float)
-            loc = n * self._group_means(groups)
+            g = np.array([len(idx) for idx in self._groups], dtype=float)
+            loc = n * self._group_mean
             scale = np.sqrt(n * (family.sigma2 / g))
             return rng.normal(loc[:, None], scale[:, None], (len(g), trials)).T
         mu = self.instance._mean_array
-        out = np.empty((trials, len(groups)))
-        for k, idx in enumerate(groups):  # per-member success counts over n pulls
+        out = np.empty((trials, len(self._groups)))
+        for k, idx in enumerate(self._groups):  # per-member counts over n pulls
             out[:, k] = rng.binomial(n, mu[idx], (trials, len(idx))).sum(1) / len(idx)
         return out
 
@@ -178,18 +176,6 @@ class ReOptions:
             raise ValueError("plugin priors need alpha > 0")
 
 
-def _expit(x: float) -> float:
-    """Logistic sigmoid 1/(1+exp(-x)); bit for bit scipy.special.expit."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:  # exp(-x) overflows only for x below about -709
-        return 0.0
-
-
-# _expit elementwise; a numpy exp would differ from scipy in the last bit
-_expit_array = np.vectorize(_expit, otypes=[float])
-
-
 def compute_priors(mu_hat_G, E_muH, E_muL, len_L1, len_L0):
     """Sigmoid-engineered priors (pi0, pi1) from group-mean estimates.
 
@@ -205,9 +191,9 @@ def compute_priors(mu_hat_G, E_muH, E_muL, len_L1, len_L0):
         raise DegenerateInterval(
             f"interval lengths must be positive, got {len_L1}, {len_L0}"
         )
-    with np.errstate(over="ignore"):  # _expit handles exp's overflow itself
-        sig_in = _expit_array((mu_hat_G - E_muH) / len_L1)
-        sig_out = _expit_array(-(mu_hat_G - E_muL) / len_L0)
+    with np.errstate(over="ignore"):  # exp overflows to inf: the sigmoid is 0
+        sig_in = 1.0 / (1.0 + np.exp(-(mu_hat_G - E_muH) / len_L1))
+        sig_out = 1.0 / (1.0 + np.exp((mu_hat_G - E_muL) / len_L0))
     under = sig_in + sig_out == 0.0  # both underflowed: fall back to indifference
     sig_in = np.where(under, 1.0, sig_in)
     sig_out = np.where(under, 1.0, sig_out)

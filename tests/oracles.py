@@ -10,14 +10,16 @@ writer serve the same tests.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from bestarm.casestudies import _EDGE_EPS, JammerScenario, RadarScenario
-from bestarm.core import BanditInstance, Bernoulli, Gaussian, _arm_array, _check_arms
+from bestarm.core import BanditInstance, Bernoulli, Gaussian, _check_arms
 from bestarm.errors import BudgetTooSmall, DecodedDummyArm, IndexOutOfRange
 from bestarm.grouping import construct_groups, decode_best_arm
 from bestarm.policies import (
@@ -70,13 +72,13 @@ def sample_arm(instance: BanditInstance, arm: int, rng: np.random.Generator) -> 
 
 
 def member_indices(instance: BanditInstance, members) -> np.ndarray:
-    """0-based indices of a group's members, read as a sorted set of whole
+    """0-based indices of a group's members, read as a sorted set of integer
     arms in [1, K]. Raises IndexOutOfRange for any other arm and ValueError
     for no members."""
-    idx = _check_arms(instance, _arm_array(sorted(set(members))))
-    if idx.size == 0:
+    arms = sorted(set(members))
+    if not arms:
         raise ValueError("a group needs at least one member")
-    return idx
+    return _check_arms(instance, arms)
 
 
 def pull_group_sum(
@@ -84,14 +86,17 @@ def pull_group_sum(
 ) -> np.ndarray:
     """Sums over n plays of an arbitrary group, one per trial, shape (trials,).
 
-    The subset pull of the observation model, drawn by the environment's
-    group law hook as a block of one group; n <= 0 gives zeros and draws
-    nothing.
+    The subset pull of the observation model: the environment's block pull
+    on a shallow copy whose only group is this one, with the copy's cached
+    tables dropped. n <= 0 gives zeros and draws nothing.
     """
     idx = member_indices(env.instance, members)
-    if n <= 0:
-        return np.zeros(trials)
-    return env._group_sums((idx,), n, rng, trials)[:, 0]
+    one = copy.copy(env)
+    for name in list(vars(one)):
+        if isinstance(getattr(type(one), name, None), cached_property):
+            del vars(one)[name]
+    one._groups = (idx,)
+    return one.pull_groups_sum(n, rng, trials)[:, 0]
 
 
 def sample_group(

@@ -71,6 +71,34 @@ def test_jammer_reward_noisy_mean():
     assert draws.var() == pytest.approx(0.01, rel=0.05)
 
 
+K_ENTRY_POINTS = {
+    "construct_groups": construct_groups,
+    "JammerScenario": lambda K: JammerScenario(K=K, j_star=1, noise_var=0.1),
+    "run_jammer_experiment": lambda K: run_jammer_experiment(
+        K=K, noise_grid=(0.1,), algorithms=("UE",), trials=2
+    ),
+    "RadarScenario": lambda K: RadarScenario(K=K),
+}
+
+
+@pytest.mark.parametrize("K", [8.5, 8.0, "8", True, 1, MAX_K + 1])
+@pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+def test_every_k_entry_point_takes_only_an_int_k_in_range(entry, K):
+    with pytest.raises(InvalidK):
+        K_ENTRY_POINTS[entry](K)
+
+
+def test_numpy_integer_k_builds_groups_and_runs():
+    construct_groups(8)  # a cached int K lets no equal float through
+    with pytest.raises(InvalidK):
+        construct_groups(8.0)
+    code = construct_groups(np.int64(8))
+    assert (code.K_orig, code.K_padded, code.m) == (8, 8, 3)
+    assert type(code.K_orig) is int
+    for entry in ("JammerScenario", "run_jammer_experiment", "RadarScenario"):
+        K_ENTRY_POINTS[entry](np.int64(8))
+
+
 def test_jammer_scenario_validation():
     with pytest.raises(InvalidK):
         JammerScenario(K=1, j_star=1, noise_var=0.0)

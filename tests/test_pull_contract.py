@@ -3,9 +3,9 @@ way at every n, and the case studies supply only their draw law.
 
 The Gaussian and Bernoulli BanditEnv cases of the out-of-range check live
 in test_reference_oracles.py; here it runs on the case studies, and the
-non-integral and zero-play checks run on all four environments. The block
+integer-dtype and zero-play checks run on all four environments. The block
 pull of every binary group is checked against one-group pulls through the
-law hook on every reward law."""
+law hook on every reward law, and a custom law hook is run by RE."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from bestarm import (
     IndexOutOfRange,
     RadarScenario,
     construct_groups,
+    run_policy,
 )
 from bestarm.casestudies import JammerEnv, JammerScenario, RadarEnv
 from oracles import pull_group_sum
@@ -31,7 +32,11 @@ ENVS = {
     "radar": lambda: RadarEnv(RadarScenario(K=5, active_channel=3, noise_var=1.0)),
 }
 OUT_OF_RANGE = [[0, 2], [2, 6], [-1], [2**70]]
-NON_INTEGRAL = [[1.5], (2, 2.5), np.array([2.5]), [np.nan]]
+# fractions, and whole numbers of a dtype that is not an integer one
+NON_INTEGRAL = [
+    [1.5], (2, 2.5), np.array([2.5]), [np.nan], (2.0, 3.0), np.array([2.0, 3.0]),
+    [True], np.array([True, False]), np.array([2, 3], dtype=object),
+]
 
 
 @pytest.fixture(params=sorted(ENVS))
@@ -56,7 +61,7 @@ def test_case_study_out_of_range_arms_and_members_raise(case_env, n):
     assert_refused(case_env, OUT_OF_RANGE, IndexOutOfRange, n)
 
 
-@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("n", [-1, 0, 3])
 def test_non_integral_arms_and_members_raise(env, n):
     assert_refused(env, NON_INTEGRAL, IndexOutOfRange, n)
 
@@ -71,17 +76,22 @@ def test_zero_plays_draw_nothing(env):
 
 def test_integral_arms_of_any_type_give_the_same_draw(env):
     want = env.pull_arms_sum(np.array([2, 3]), 4, np.random.default_rng(5))
-    for arms in ([2, 3], (2.0, 3.0), range(2, 4), np.array([2.0, 3.0])):
+    integer_arrays = (
+        [2, 3], (2, 3), range(2, 4), [np.int64(2), np.int32(3)],
+        np.array([2, 3], dtype=np.int32), np.array([2, 3], dtype=np.uint8),
+    )
+    for arms in integer_arrays:
         got = env.pull_arms_sum(arms, 4, np.random.default_rng(5))
         assert np.array_equal(got, want)
 
 
 def test_radar_single_channel_pull_rejects_fractional_channel():
     env = ENVS["radar"]()
-    with pytest.raises(IndexOutOfRange):
-        env.pull_arm_sum(2.5, 3, np.random.default_rng(0))
-    assert env.pull_arm_sum(2.0, 3, np.random.default_rng(0)) == env.pull_arm_sum(
-        2, 3, np.random.default_rng(0)
+    for channel in (2.5, 2.0, True):
+        with pytest.raises(IndexOutOfRange):
+            env.pull_arm_sum(channel, 3, np.random.default_rng(0))
+    assert env.pull_arm_sum(np.int64(2), 3, np.random.default_rng(0)) == (
+        env.pull_arm_sum(2, 3, np.random.default_rng(0))
     )
 
 
@@ -137,3 +147,38 @@ def test_block_group_pull_of_no_plays_draws_nothing(name, n):
     state = rng.bit_generator.state
     assert np.array_equal(env.pull_groups_sum(n, rng, 5), np.zeros((5, 4)))
     assert rng.bit_generator.state == state
+
+
+class GroupHookEnv(BanditEnv):
+    """An environment whose only override is the group law hook: every
+    group play sees its own mean exactly, and the groups it was asked for
+    are recorded."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.seen = []
+
+    def _group_sums(self, n, rng, trials):
+        self.seen.append(self._groups)
+        return np.tile(n * self._group_mean, (trials, 1))
+
+
+@pytest.mark.parametrize("K", [5, 8, 12])
+def test_re_runs_a_custom_group_hook_over_the_env_groups(K):
+    means = tuple(1.0 if a == 3 else 0.2 for a in range(1, K + 1))
+    env = GroupHookEnv(BanditInstance(means=means, family=Gaussian(0.1)))
+    run = run_policy("RE", env, 8 * K, np.random.default_rng(0), trials=6)
+    assert (run.recommended_arm == 3).all()
+    want = [g - 1 for g in construct_groups(K).groups]
+    assert env.seen
+    for groups in env.seen:
+        assert len(groups) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(groups, want))
+
+
+@pytest.mark.parametrize("K", [2, 5, 16])
+def test_noiseless_jammer_group_pull_is_its_mean_table(K):
+    env = JammerEnv(JammerScenario(K=K, j_star=min(2, K), noise_var=0.0))
+    got = env.pull_groups_sum(7, np.random.default_rng(1), 9)
+    want = np.tile(7 * env._group_mean, (9, 1))
+    assert got.tobytes() == want.tobytes()  # bit for bit, every row

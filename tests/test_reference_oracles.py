@@ -32,7 +32,7 @@ from bestarm.casestudies import (
     _slots_that_can_start,
     signal_sample_counts,
 )
-from bestarm.policies import _expit, _sr_logbar, run_sr
+from bestarm.policies import _sr_logbar, compute_priors, run_sr
 from oracles import pull_group_sum, sample_group
 
 
@@ -157,7 +157,7 @@ def test_bandit_env_gap_profile_computed_once():
     assert env.true_gap_profile() is env.true_gap_profile()
 
 
-def test_expit_matches_scipy_bit_for_bit():
+def test_priors_follow_scipy_expit_to_a_few_ulps():
     from scipy.special import expit
 
     xs = np.concatenate([
@@ -165,8 +165,13 @@ def test_expit_matches_scipy_bit_for_bit():
         np.linspace(-40.0, 40.0, 20_001),
         [-np.inf, np.inf, -745.2, -709.8, 709.8, 0.0, -0.0],
     ])
-    got = np.array([_expit(float(x)) for x in xs])
-    assert np.array_equal(got, expit(xs))
+    # unit intervals at 0: sigma_in = expit(x) and sigma_out = expit(-x)
+    pi0, pi1 = compute_priors(xs, 0.0, 0.0, 1.0, 1.0)
+    sig_in, sig_out = expit(xs), expit(-xs)
+    tiny = np.finfo(float).smallest_subnormal
+    for got, want in ((pi0, sig_out), (pi1, sig_in)):
+        want = want / (sig_in + sig_out)
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=4 * tiny)
 
 
 def test_cli_import_loads_no_scipy(cli_env):
