@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import BanditInstance, Gaussian, check_K
-from .errors import CsvFormatError, IndexOutOfRange, SupportViolation
+from .core import BanditInstance, Gaussian, check_arm, check_K, check_variance
+from .errors import CsvFormatError, SupportViolation
 from .experiments import run_cells
 from .policies import BanditEnv, ReOptions
 
@@ -55,13 +56,8 @@ class JammerScenario:
     noise_var: float
 
     def __post_init__(self) -> None:
-        check_K(self.K)
-        if not 1 <= self.j_star <= self.K:
-            raise IndexOutOfRange(f"j_star {self.j_star} not in 1..{self.K}")
-        if not 0 <= self.noise_var < math.inf:
-            raise SupportViolation(
-                f"noise_var must be finite and >= 0, got {self.noise_var}"
-            )
+        check_arm(self.j_star, check_K(self.K), "j_star")
+        check_variance(self.noise_var, "noise_var")
 
 
 class JammerEnv(BanditEnv):
@@ -143,14 +139,8 @@ class RadarScenario:
             raise SupportViolation(
                 f"a play needs N = dwell_T * fs >= 1 samples, got {self.N}"
             )
-        if not 0 <= self.noise_var < math.inf:
-            raise SupportViolation(
-                f"noise_var must be finite and >= 0, got {self.noise_var}"
-            )
-        if not 1 <= self.active_channel <= self.K:
-            raise IndexOutOfRange(
-                f"active_channel {self.active_channel} not in 1..{self.K}"
-            )
+        check_variance(self.noise_var, "noise_var")
+        check_arm(self.active_channel, self.K, "active_channel")
         if not all(
             isinstance(x, (int, np.integer))
             or (isinstance(x, float) and x.is_integer())
@@ -263,9 +253,6 @@ def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
     return counts
 
 
-_SIGNAL_MEAN_CACHE: dict[tuple, float] = {}
-
-
 def mean_signal_energy(scenario: RadarScenario) -> float:
     """Expected per-play signal energy, by a fixed-seed Monte-Carlo oracle.
 
@@ -273,20 +260,16 @@ def mean_signal_energy(scenario: RadarScenario) -> float:
     sample count, whose mean over the pulse-parameter law has no tidy closed
     form once window truncation enters; a large deterministic sample pins it
     to about three decimals, which is all the detection thresholds need.
+    Only the pulse law enters, so scenarios that differ in K, noise_var or
+    the active channel share one memoised value.
     """
-    key = (
-        scenario.N,
-        scenario.fs,
-        scenario.n_pulses_range,
-        scenario.width_range,
-        scenario.pri_range,
-        scenario.delay_range,
-    )
-    if key not in _SIGNAL_MEAN_CACHE:
-        rng = np.random.default_rng([8_675_309, scenario.N, _SIGNAL_DRAWS])
-        counts = signal_sample_counts(scenario, _SIGNAL_DRAWS, rng)
-        _SIGNAL_MEAN_CACHE[key] = float(counts.mean())
-    return _SIGNAL_MEAN_CACHE[key]
+    return _pulse_law_energy(replace(scenario, K=2, noise_var=0.0, active_channel=1))
+
+
+@lru_cache(maxsize=64)
+def _pulse_law_energy(scenario: RadarScenario) -> float:
+    rng = np.random.default_rng([8_675_309, scenario.N, _SIGNAL_DRAWS])
+    return float(signal_sample_counts(scenario, _SIGNAL_DRAWS, rng).mean())
 
 
 def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:

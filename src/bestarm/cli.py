@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 from .casestudies import (
     DEFAULT_JAMMER_NOISE_GRID,
@@ -48,22 +49,14 @@ def _read_text(path, what: str) -> str:
 
 
 def _write_csv(header, rows, out_path) -> None:
-    if out_path:
-        try:
-            fh = open(out_path, "w", newline="")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {out_path}: {exc}") from exc
-        close = True
-    else:
-        fh = sys.stdout
-        close = False
     try:
-        writer = csv.writer(fh, lineterminator="\n")
+        fh = open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out_path}: {exc}") from exc
+    with fh as out:
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def _cmd_groups(args):

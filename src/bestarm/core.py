@@ -31,15 +31,26 @@ def check_K(K) -> int:
     return int(K)
 
 
+def check_arm(arm, K: int, name: str) -> int:
+    """arm as an int: an int or numpy integer in [1, K], not a bool, else
+    IndexOutOfRange naming the field."""
+    if isinstance(arm, bool) or not (isinstance(arm, (int, np.integer)) and 1 <= arm <= K):
+        raise IndexOutOfRange(f"{name} must be an int in [1, {K}], got {arm!r}")
+    return int(arm)
+
+
+def check_variance(value, name: str) -> None:
+    """Raise SupportViolation unless value is a finite variance >= 0."""
+    if not 0 <= value < math.inf:
+        raise SupportViolation(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     sigma2: float
 
     def __post_init__(self):
-        if not 0 <= self.sigma2 < math.inf:
-            raise SupportViolation(
-                f"sigma2 must be finite and >= 0, got {self.sigma2}"
-            )
+        check_variance(self.sigma2, "sigma2")
 
 
 @dataclass(frozen=True)
@@ -113,10 +124,6 @@ class GapProfile:
     gaps: tuple[float, ...]  # ascending, gaps[0] == gaps[1]
     delta_min: float
     delta_max: float
-
-    @property
-    def K(self) -> int:
-        return len(self.gaps)
 
 
 def gap_profile(instance: BanditInstance) -> GapProfile:

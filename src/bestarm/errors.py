@@ -24,7 +24,8 @@ class IndexOutOfRange(BestArmError):
 
 
 class InvalidK(BestArmError):
-    """Arm count is too small to build groups (K < 2)."""
+    """An arm count or instance is unusable: K is not an int in [2, MAX_K],
+    the reward family is unknown, or a bound function got bad inputs."""
 
 
 class DecodedDummyArm(BestArmError):

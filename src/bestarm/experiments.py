@@ -133,8 +133,8 @@ def generate_instance(spec: InstanceSpec) -> BanditInstance:
         others = np.full(K - 1, mu - hi)
         others[0] = mu - lo
     elif spec.generator == "two_groups":
-        n_close = math.ceil((K - 1) / 2)
-        others = np.concatenate([np.full(n_close, mu - lo), np.full(K - 1 - n_close, mu - hi)])
+        n_near = math.ceil((K - 1) / 2)
+        others = np.concatenate([np.full(n_near, mu - lo), np.full(K - 1 - n_near, mu - hi)])
     else:  # single_gap
         others = np.full(K - 1, mu - lo)
     rng = np.random.default_rng(spec.seed)
@@ -349,7 +349,6 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ConfigParse(f"grid endpoints must be finite, got {text!r}")
         step = parts[2].strip()
-        vals: list[float] = []
         if step.lower().startswith("x"):
             try:
                 q = float(step[1:])
@@ -359,10 +358,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
                 raise ConfigParse("geometric grid needs a > 0 and factor > 1")
             if b >= a:
                 _check_grid_size(math.log(b / a) / math.log(q), text)
-            v = a
-            while v <= b * (1.0 + 1e-12) and len(vals) <= MAX_GRID_POINTS:
-                vals.append(v)
-                v *= q
+            advance, stop = (lambda v: v * q), b * (1.0 + 1e-12)
         else:
             try:
                 d = float(step)
@@ -371,11 +367,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
             if not 0 < d < math.inf:
                 raise ConfigParse("grid step must be positive and finite")
             _check_grid_size((b - a) / d, text)
-            v = a
-            # the length test also ends a step too small to move v
-            while v <= b + d * 1e-9 and len(vals) <= MAX_GRID_POINTS:
-                vals.append(v)
-                v += d
+            advance, stop = (lambda v: v + d), b + d * 1e-9
+        vals: list[float] = []
+        v = a
+        # the length test also ends a step too small to move v
+        while v <= stop and len(vals) <= MAX_GRID_POINTS:
+            vals.append(v)
+            v = advance(v)
     else:
         try:
             vals = [float(p) for p in s.split(",") if p.strip()]

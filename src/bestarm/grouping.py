@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import check_K
+from .core import check_arm, check_K
 from .errors import DecodedDummyArm, IndexOutOfRange
 
 
@@ -56,8 +56,7 @@ def construct_groups(K: int) -> GroupCode:
 
 def detection_pattern(code: GroupCode, arm: int) -> tuple[int, ...]:
     """Membership bits of an arm across the m groups (binary digits of arm-1)."""
-    if not 1 <= arm <= code.K_padded:
-        raise IndexOutOfRange(f"arm {arm} outside [1, {code.K_padded}]")
+    arm = check_arm(arm, code.K_padded, "arm")
     return tuple((arm - 1) >> k & 1 for k in range(code.m))
 
 

@@ -323,13 +323,11 @@ def run_sh(
     lower index is kept first.
     """
     K = env.K
-    rounds = max(1, math.ceil(math.log2(K)))
+    rounds = math.ceil(math.log2(K))  # ceil-halving leaves one arm after these
     alive = _arm_rows(K, trials)
     pulls_used = 0
     for _ in range(rounds):
         n_alive = alive.shape[1]
-        if n_alive == 1:
-            break
         keep = math.ceil(n_alive / 2)
         n_r = T // (n_alive * rounds)
         if n_r == 0:
@@ -445,7 +443,7 @@ def run_re(
     if arm_hat is not None:
         fallback = np.argmax(arm_hat, axis=1) + 1
     else:
-        fallback = np.clip(arm % K, 1, K)
+        fallback = arm - K  # K < arm < 2K, so a real arm
     rec = np.where(decoded_dummy, fallback, arm)
 
     rep = trials // shape[0]  # a one-row block repeats its row per trial

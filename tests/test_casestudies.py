@@ -110,6 +110,12 @@ def test_jammer_scenario_validation():
         JammerScenario(K=8, j_star=9, noise_var=0.0)
     with pytest.raises(SupportViolation):
         JammerScenario(K=8, j_star=1, noise_var=-0.1)
+    for j_star in (2.0, 2.5, True):
+        with pytest.raises(IndexOutOfRange, match="j_star"):
+            JammerScenario(K=8, j_star=j_star, noise_var=0.1)
+    with pytest.raises(IndexOutOfRange, match="j_star"):
+        run_jammer_experiment(K=8, j_star=2.5, trials=2)
+    assert JammerEnv(JammerScenario(K=8, j_star=np.int64(3), noise_var=0.1)).best_arm == 3
 
 
 def test_jammer_env_means_and_gap():
@@ -181,6 +187,10 @@ def test_radar_scenario_defaults_and_validation():
         RadarScenario(noise_var=-2.0)
     with pytest.raises(IndexOutOfRange):
         RadarScenario(active_channel=9)
+    for channel in (2.0, 2.5, True):
+        with pytest.raises(IndexOutOfRange, match="active_channel"):
+            RadarScenario(active_channel=channel)
+    assert RadarEnv(RadarScenario(active_channel=np.int64(3))).best_arm == 3
 
 
 @pytest.mark.parametrize(
@@ -389,6 +399,30 @@ def test_radar_env_analytic_means():
 def test_mean_signal_energy_default_scenario():
     # fixed-seed oracle for the default 30us window at 3.2 MHz
     assert mean_signal_energy(RadarScenario()) == pytest.approx(55.8016, abs=0.25)
+
+
+def test_mean_signal_energy_runs_once_per_pulse_law(monkeypatch):
+    import bestarm.casestudies as casestudies
+
+    calls = []
+    real = casestudies.signal_sample_counts
+
+    def counting(scenario, n, rng):
+        calls.append(n)
+        return real(scenario, n, rng)
+
+    monkeypatch.setattr(casestudies, "signal_sample_counts", counting)
+    casestudies._pulse_law_energy.cache_clear()
+    for scenario in (
+        RadarScenario(),
+        RadarScenario(K=4),
+        RadarScenario(noise_var=3.0),
+        RadarScenario(active_channel=5),
+    ):
+        RadarEnv(scenario)
+    assert calls == [200_000]
+    RadarEnv(RadarScenario(dwell_T=20e-6))  # another pulse law draws again
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------- iq files

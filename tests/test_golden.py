@@ -62,6 +62,8 @@ CONFIGS = {
 
 ARGV = {
     "case-jammer-k12": ["case-jammer", "--K", "12", "--trials", "50", "--seed", "1"],
+    # 200 trials at K = 16 run in several blocks per cell, pinning the block rule.
+    "case-jammer-k16-blocks": ["case-jammer", "--K", "16", "--trials", "200", "--seed", "2"],
     "case-radar": ["case-radar", "--plays", "300,600", "--trials", "12", "--seed", "4"],
 }
 

@@ -96,6 +96,10 @@ def test_detection_pattern_range_checked():
         detection_pattern(code, 0)
     with pytest.raises(IndexOutOfRange):
         detection_pattern(code, 9)
+    for arm in (2.0, 2.5, True):
+        with pytest.raises(IndexOutOfRange):
+            detection_pattern(code, arm)
+    assert detection_pattern(code, np.int64(6)) == (1, 0, 1)
 
 
 def test_decode_all_zero_is_arm_one():

@@ -212,6 +212,13 @@ def test_sh_zero_allocation_degrades_to_random_choice():
     assert abs(p - (1 - 1 / 8)) < 0.03
 
 
+def test_sh_one_arm_recommends_it_without_pulls():
+    env = CountingEnv(gaussian_env((0.5,), 0.1))
+    run = run_sh(env, 10, rng())
+    assert run.recommended_arm == 1 and run.correct
+    assert run.pulls_used == 0 and env.arm_pulls == {}
+
+
 # ------------------------------------------------------------------ priors
 
 
@@ -456,8 +463,33 @@ class ScriptedEnv:
 def test_re_dummy_decode_falls_back_to_wrapped_index():
     run = run_re(ScriptedEnv([0.0] * 6), 60, rng())
     assert run.diagnostics["decoded_dummy"].all()
-    # detections (0,1,1) point at padding arm 7; 7 mod 6 wraps to arm 1
+    # detections (0,1,1) point at padding arm 7; the fallback is 7 - 6 = arm 1
     assert run.recommended_arm == 1
+
+
+class PatternEnv(ScriptedEnv):
+    """Scripted K-armed environment whose group tests spell one pattern."""
+
+    best_arm = 1
+
+    def __init__(self, K, pattern):
+        self.K, self.pattern = K, pattern
+
+    def true_gap_profile(self):
+        means = tuple(1.0 - 0.5 * np.arange(self.K) / (self.K - 1))
+        return gap_profile(BanditInstance(means=means, family=Gaussian(1.0)))
+
+    def pull_groups_sum(self, n, r, trials=1):
+        bits = [(self.pattern - 1) >> k & 1 for k in range(construct_groups(self.K).m)]
+        return np.tile(np.where(bits, n * 7.0, n * -5.0), (trials, 1))
+
+
+@pytest.mark.parametrize("K", [3, 5, 6, 12, 100])
+def test_re_oracle_fallback_past_K_is_arm_minus_K(K):
+    for pattern in construct_groups(K).dummy_arms:
+        run = run_re(PatternEnv(K, pattern), 40 * K, rng())
+        assert run.diagnostics["decoded_dummy"].all()
+        assert run.recommended_arm == pattern - K
 
 
 def test_re_dummy_decode_falls_back_to_exploration_argmax():

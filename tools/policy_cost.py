@@ -9,11 +9,14 @@ single-gap instance at T = 1.5 K: Gaussian means 1.0 and 0.5 with sigma2
 making the trials' generators and the harness's own work.
 After one warm-up call per cell, the cell is called with seeds 1, 2, ...
 until the calls have taken --seconds of the calling thread's CPU time, so
-a cheap cell is timed over as long a span as a costly one. The script
-prints one JSON object: per K and policy, the median over those calls of
-their thread CPU time divided by the trial count, in microseconds, the
-family under "family", and under "machine" the core count and the Python
-and numpy versions.
+a cheap cell is timed over as long a span as a costly one. A pass times
+every cell once; the whole table is timed in PASSES = 3 interleaved passes,
+so that a cell whose cost swings between runs shows a wide range rather
+than one figure. The script prints one JSON object: per K and policy, the
+median over the passes of each pass's figure (the median over its calls
+of their thread CPU time divided by the trial count, in microseconds) and
+the [min, max] of those figures, the family under "family", and under
+"machine" the core count and the Python and numpy versions.
 bestarm is imported before numpy, so this process, like the CLI, loads
 OpenBLAS with one thread and no idle BLAS worker spins beside the timed
 calls. It runs against whichever bestarm is first on the path, so the
@@ -34,6 +37,7 @@ import numpy as np  # after bestarm, which loads it with one BLAS thread
 
 KS = (16, 256, 1024)
 POLICIES = ("UE", "SR", "SH", "RE")
+PASSES = 3
 # the best arm's mean, the others' mean and the reward family
 FAMILIES = {"gaussian": (1.0, 0.5, Gaussian(0.1)), "bernoulli": (0.9, 0.4, Bernoulli())}
 
@@ -55,13 +59,19 @@ def main() -> None:
     parser.add_argument("--family", choices=sorted(FAMILIES), default="gaussian")
     args = parser.parse_args()
     best, rest, family = FAMILIES[args.family]
-    table = {}
-    for K in KS:
-        means = (best,) + (rest,) * (K - 1)
-        env = BanditEnv(BanditInstance(means=means, family=family))
-        T = 3 * K // 2
-        table[str(K)] = {
-            p: round(cost_us(env, p, T, args.trials, args.seconds), 1) for p in POLICIES
+    envs = {
+        K: BanditEnv(BanditInstance(means=(best,) + (rest,) * (K - 1), family=family))
+        for K in KS
+    }
+    costs = {(K, p): [] for K in KS for p in POLICIES}
+    for _ in range(PASSES):
+        for (K, p), figures in costs.items():
+            figures.append(cost_us(envs[K], p, 3 * K // 2, args.trials, args.seconds))
+    table = {str(K): {} for K in KS}
+    for (K, p), figures in costs.items():
+        table[str(K)][p] = {
+            "median": round(statistics.median(figures), 1),
+            "range": [round(min(figures), 1), round(max(figures), 1)],
         }
     table["family"] = args.family
     table["machine"] = {
