@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BanditInstance, Gaussian, check_arm, check_K, check_variance
+from .core import BanditInstance, Gaussian, check_arm, check_K, check_variance, is_real
 from .errors import CsvFormatError, SupportViolation
 from .experiments import run_cells
 from .policies import BanditEnv, ReOptions
@@ -118,7 +118,8 @@ class RadarScenario:
     complex samples. Pulse trains are rectangular with unit amplitude on the
     I rail; their count, width, repetition interval, and initial delay are
     drawn fresh for each play from the given ranges and truncated to the window.
-    Each range is a finite (lo, hi) with lo <= hi; pulse counts are whole.
+    Each range is a pair of finite numbers (lo, hi) with lo <= hi, stored
+    as a tuple whatever sequence gave it; pulse counts are whole.
     """
 
     K: int = 8
@@ -141,6 +142,22 @@ class RadarScenario:
             )
         check_variance(self.noise_var, "noise_var")
         check_arm(self.active_channel, self.K, "active_channel")
+        for name in ("n_pulses_range", "width_range", "pri_range", "delay_range"):
+            value = getattr(self, name)
+            try:
+                lo, hi = value
+            except (TypeError, ValueError):
+                raise SupportViolation(
+                    f"{name} must be a (lo, hi) pair, got {value!r}"
+                ) from None
+            # false for a NaN or infinite endpoint, for lo > hi, and for a
+            # span that overflows, which numpy's uniform also refuses
+            if not (is_real(lo) and is_real(hi) and 0 <= hi - lo < math.inf):
+                raise SupportViolation(
+                    f"{name} must be finite numbers with lo <= hi, got {value!r}"
+                )
+            # a tuple, so that the scenario hashes for the energy memo
+            object.__setattr__(self, name, (lo, hi))
         if not all(
             isinstance(x, (int, np.integer))
             or (isinstance(x, float) and x.is_integer())
@@ -149,14 +166,6 @@ class RadarScenario:
             raise SupportViolation(
                 f"n_pulses_range must hold whole numbers, got {self.n_pulses_range}"
             )
-        for name in ("n_pulses_range", "width_range", "pri_range", "delay_range"):
-            lo, hi = getattr(self, name)
-            # false for a NaN or infinite endpoint, for lo > hi, and for a
-            # span that overflows, which numpy's uniform also refuses
-            if not 0 <= hi - lo < math.inf:
-                raise SupportViolation(
-                    f"{name} must be finite with lo <= hi, got {(lo, hi)}"
-                )
 
     @property
     def N(self) -> int:

@@ -39,10 +39,18 @@ def check_arm(arm, K: int, name: str) -> int:
     return int(arm)
 
 
+def is_real(value) -> bool:
+    """True for an int, float or numpy real number; False for a bool."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating)
+    )
+
+
 def check_variance(value, name: str) -> None:
-    """Raise SupportViolation unless value is a finite variance >= 0."""
-    if not 0 <= value < math.inf:
-        raise SupportViolation(f"{name} must be finite and >= 0, got {value}")
+    """Raise SupportViolation unless value is a real number (see is_real)
+    that is finite and >= 0."""
+    if not (is_real(value) and 0 <= value < math.inf):
+        raise SupportViolation(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,9 @@ class RngStream:
 
     Streams with equal fields produce bit-identical draws. A sweep gives
     each block of trials its own stream, keyed by the block's first trial
-    (see experiments.run_cells), so a block's draws depend only on its
-    seed and stream id, not on the blocks run before it.
+    (see experiments.run_cells, which sizes blocks by the row a trial
+    holds), so a block's draws depend only on its seed, its stream id and
+    its size, not on the blocks run before it.
     """
 
     master_seed: int

@@ -179,9 +179,10 @@ def check_budgets(budgets) -> None:
         )
 
 
-def block_trials(K: int) -> int:
-    """Trials per block on K arms: at most 64, and B * K <= 2**16."""
-    return min(64, max(1, 2**16 // K))
+def block_trials(width: int) -> int:
+    """Trials per block when one trial holds a row of `width` floats: the
+    most with B * width <= 2**16, and at least one."""
+    return max(1, 2**16 // width)
 
 
 def run_cells(
@@ -202,20 +203,22 @@ def run_cells(
     dash picks the policy, so "RE-oracle" and "RE-plugin" run RE under two
     configurations.
 
-    A cell runs its trials in blocks of B = block_trials(K) trials, the
-    last block holding the remainder, with one run_policy call per block.
-    The block whose first trial is j0 draws from
+    A cell runs its trials in blocks of B = block_trials(width) trials,
+    the last block holding the remainder, with one run_policy call per
+    block. The width is the row one trial holds: the environment's
+    `_group_width` for RE with alpha = 0, which keeps only group
+    statistics (m for a Gaussian law), and K for every other run. The
+    block whose first trial is j0 draws from
     RngStream(master_seed, c * trials + j0) for the c-th cell. Output thus
-    depends on the seed, the trial count and K, not on how the sweep is
-    scheduled. A policy error, such as BudgetTooSmall, leaves its cell
-    absent with the error code as `failure`.
+    depends on the seed, the trial count, the environment's law and K, not
+    on how the sweep is scheduled. A policy error, such as BudgetTooSmall,
+    leaves its cell absent with the error code as `failure`.
     """
     if trials < 1:
         raise ConfigParse(f"need trials >= 1, got {trials}")
     check_budgets(budgets)
     env.best_arm  # raises DuplicateBestArm on ties
     options = options or {}
-    block = block_trials(env.K)
     results: list[CellResult] = []
     cells = itertools.product(algorithms, map(int, budgets))
     for cell_index, (algorithm, T) in enumerate(cells):
@@ -224,6 +227,8 @@ def run_cells(
         start = time.perf_counter()
         errors, failure = 0, None
         try:
+            grouped = policy == "RE" and opts.alpha == 0.0
+            block = block_trials(env._group_width if grouped else env.K)
             for j0 in range(0, trials, block):
                 rows = min(block, trials - j0)
                 rng = RngStream(master_seed, cell_index * trials + j0).generator()

@@ -54,7 +54,8 @@ class BanditEnv:
     from 0-based int64 indices, and `_group_sums(n, rng, trials)` plays the
     0-based groups `self._groups`, group k before group k+1; neither
     mutates them. A custom environment subclasses BanditEnv and overrides
-    only these hooks.
+    only these hooks, and `_group_width` if its group hook holds another
+    row per trial.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -107,6 +108,16 @@ class BanditEnv:
         """Mean of each group's member means, shape (m,)."""
         mu = self.instance._mean_array
         return np.array([float(mu[idx].sum()) / len(idx) for idx in self._groups])
+
+    @cached_property
+    def _group_width(self) -> int:
+        """Floats one trial's row holds in `_group_sums`: one per group for
+        a Gaussian law, which draws each group mean at once, and the
+        largest group's members for per-member counts. A subclass whose
+        group law holds another row overrides this with it."""
+        if isinstance(self.instance.family, Gaussian):
+            return len(self._groups)
+        return max(len(idx) for idx in self._groups)
 
     def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
         """Sufficient statistics, one numpy call filled in row-major order:

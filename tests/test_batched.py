@@ -20,12 +20,15 @@ from bestarm import (
     BanditEnv,
     BanditInstance,
     Bernoulli,
+    BudgetTooSmall,
     ConfigParse,
     Gaussian,
     ReOptions,
 )
 from bestarm.casestudies import (
     _COUNT_BLOCK,
+    JammerEnv,
+    JammerScenario,
     RadarEnv,
     RadarScenario,
     _row_sums,
@@ -155,13 +158,21 @@ def test_re_block_diagnostics_have_one_entry_per_trial():
 
 
 def test_run_cells_draws_one_stream_per_block():
+    # At K = 4, UE and SR hold rows of 4 arm sums and RE with alpha = 0
+    # rows of m = 2 group sums, so their blocks differ in size.
     env = BanditEnv(BanditInstance(means=(1.0, 0.8, 0.8, 0.8), family=Gaussian(1.0)))
-    B = block_trials(env.K)
-    trials, seed = B + 5, 3
-    cells = run_cells(env, ("UE", "SR"), (8, 40), trials, seed, "blocks")
+    B_arm, B_re = block_trials(4), block_trials(2)
+    assert env._group_width == 2 and (B_arm, B_re) == (2**14, 2**15)
+    trials, seed = B_re + 5, 3
+    blocks = {
+        "UE": ((0, B_arm), (B_arm, B_arm), (2 * B_arm, 5)),
+        "SR": ((0, B_arm), (B_arm, B_arm), (2 * B_arm, 5)),
+        "RE": ((0, B_re), (B_re, 5)),
+    }
+    cells = run_cells(env, ("UE", "SR", "RE"), (8, 40), trials, seed, "blocks")
     for c, cell in enumerate(cells):
         errors = 0
-        for j0, rows in ((0, B), (B, 5)):
+        for j0, rows in blocks[cell.algorithm]:
             rng = RngStream(seed, c * trials + j0).generator()
             run = run_policy(cell.algorithm, env, cell.T, rng, trials=rows)
             errors += int((~run.correct).sum())
@@ -169,12 +180,65 @@ def test_run_cells_draws_one_stream_per_block():
 
 
 def test_block_size_bounds_the_block_arrays():
-    assert block_trials(2) == block_trials(512) == 64
-    assert block_trials(1024) == 64 and block_trials(2048) == 32
+    assert block_trials(1) == 2**16 and block_trials(4) == 2**14
+    assert block_trials(10) == 6553 and block_trials(512) == 128
     assert block_trials(MAX_K) == 1
-    for K in (2, 3, 100, 1025, 40_000, MAX_K):
-        assert 1 <= block_trials(K) <= 64
-        assert block_trials(K) * K <= max(K, 2**16)
+    for width in (1, 2, 3, 10, 100, 1025, 40_000, MAX_K):
+        assert block_trials(width) >= 1
+        assert block_trials(width) * width <= max(width, 2**16)
+
+
+@pytest.mark.parametrize("K", [2, 5, 12, 16, 1024])
+def test_group_width_follows_the_group_law(K):
+    code = construct_groups(K)
+    gaussian = BanditEnv(BanditInstance(means=(1.0,) + (0.5,) * (K - 1), family=Gaussian(0.1)))
+    bernoulli = BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=Bernoulli()))
+    jammer = JammerEnv(JammerScenario(K=K, j_star=1, noise_var=0.1))
+    radar = RadarEnv(RadarScenario(K=K, noise_var=2.0))
+    assert gaussian._group_width == jammer._group_width == code.m
+    assert radar._group_width == code.m
+    assert bernoulli._group_width == max(real_group_sizes(K))
+
+
+@pytest.mark.parametrize("family", [Gaussian(0.1), Bernoulli()])
+def test_run_cells_sizes_blocks_by_the_row_width(family, monkeypatch):
+    # UE, SR, SH and RE with a first phase hold K arm statistics a trial;
+    # RE with alpha = 0 holds only the row of its group law.
+    import bestarm.experiments as experiments
+
+    K = 2048
+    env = BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=family))
+    calls = []
+
+    def record(policy, env, T, rng, opts, rows):
+        calls.append((policy, opts.alpha, rows))
+        raise BudgetTooSmall("recorded")
+
+    monkeypatch.setattr(experiments, "run_policy", record)
+    options = {"RE-1": ReOptions(alpha=0.5)}
+    run_cells(env, ("UE", "SR", "SH", "RE", "RE-1"), (K,), 10**6, 0, "w", options)
+    narrow = 11 if isinstance(family, Gaussian) else 1024
+    assert calls == [
+        ("UE", 0.0, 32), ("SR", 0.0, 32), ("SH", 0.0, 32),
+        ("RE", 0.0, block_trials(narrow)), ("RE", 0.5, 32),
+    ]
+
+
+def test_bernoulli_re_block_memory_is_bounded():
+    """A Bernoulli RE block at K = 1024 draws (B, 512) member counts per
+    group: B * 512 <= 2**16, so the block holds about 512 KiB."""
+    K = 1024
+    env = BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=Bernoulli()))
+    B = block_trials(env._group_width)
+    assert B == 128
+    run_cells(env, ("RE",), (1536,), 4, 0, "warm-up")
+    tracemalloc.start()
+    try:
+        run_cells(env, ("RE",), (1536,), 3 * B, 0, "memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 2**16, f"peak {peak / 1024:.0f} KiB"
 
 
 # K, budgets: UE at n = 1, 2, 4 plays per arm; RE over the same budgets.
@@ -183,18 +247,19 @@ LAW_CASES = [(8, (8, 16, 32)), (64, (64, 128, 256)), (256, (256, 512, 1024))]
 
 @pytest.mark.parametrize("K,budgets", LAW_CASES)
 def test_batched_error_counts_follow_their_laws(K, budgets):
-    delta, sigma2, trials = 0.5, 0.1, 150  # three blocks, the last one short
+    delta, sigma2 = 0.5, 0.1
     means = (1.0,) + (1.0 - delta,) * (K - 1)
     env = BanditEnv(BanditInstance(means=means, family=Gaussian(sigma2)))
-    assert trials > 2 * block_trials(K)
-    for cell in run_cells(env, ("UE", "RE"), budgets, trials, 0, "laws"):
-        if cell.algorithm == "UE":
-            p = ue_error(K, delta, sigma2, cell.T // K)
-        else:
-            p = re_gaussian_error(K, delta, sigma2, cell.T)
-        assert not implausible(cell.errors, trials, p, p), (
-            cell.algorithm, cell.T, cell.errors, p
-        )
+    for algorithm, width in (("UE", K), ("RE", env._group_width)):
+        trials = 5 * block_trials(width) // 2  # three blocks, the last one short
+        for cell in run_cells(env, (algorithm,), budgets, trials, 0, "laws"):
+            if algorithm == "UE":
+                p = ue_error(K, delta, sigma2, cell.T // K)
+            else:
+                p = re_gaussian_error(K, delta, sigma2, cell.T)
+            assert not implausible(cell.errors, trials, p, p), (
+                cell.algorithm, cell.T, cell.errors, trials, p
+            )
 
 
 def real_group_sizes(K):

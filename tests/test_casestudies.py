@@ -108,8 +108,9 @@ def test_jammer_scenario_validation():
         JammerScenario(K=8, j_star=0, noise_var=0.0)
     with pytest.raises(IndexOutOfRange):
         JammerScenario(K=8, j_star=9, noise_var=0.0)
-    with pytest.raises(SupportViolation):
-        JammerScenario(K=8, j_star=1, noise_var=-0.1)
+    for noise_var in (-0.1, "0.1", True, None):
+        with pytest.raises(SupportViolation, match="noise_var"):
+            JammerScenario(K=8, j_star=1, noise_var=noise_var)
     for j_star in (2.0, 2.5, True):
         with pytest.raises(IndexOutOfRange, match="j_star"):
             JammerScenario(K=8, j_star=j_star, noise_var=0.1)
@@ -183,8 +184,9 @@ def test_radar_scenario_defaults_and_validation():
         RadarScenario(fs=0.0)
     with pytest.raises(SupportViolation):
         RadarScenario(dwell_T=-1.0)
-    with pytest.raises(SupportViolation):
-        RadarScenario(noise_var=-2.0)
+    for noise_var in (-2.0, "21", False):
+        with pytest.raises(SupportViolation, match="noise_var"):
+            RadarScenario(noise_var=noise_var)
     with pytest.raises(IndexOutOfRange):
         RadarScenario(active_channel=9)
     for channel in (2.0, 2.5, True):
@@ -219,6 +221,37 @@ def test_radar_scenario_refuses_non_finite_ranges(field, value):
 def test_radar_scenario_refuses_reversed_ranges(field, value):
     with pytest.raises(SupportViolation, match=field):
         RadarScenario(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("width_range", (10e-6, 12e-6, 16e-6)),
+        ("pri_range", (17e-6,)),
+        ("delay_range", 1e-6),
+        ("delay_range", None),
+        ("width_range", ("a", "b")),
+        ("pri_range", (True, 23e-6)),
+        ("n_pulses_range", [2, 4, 6]),
+    ],
+)
+def test_radar_scenario_refuses_ranges_that_are_not_number_pairs(field, value):
+    with pytest.raises(SupportViolation, match=field):
+        RadarScenario(**{field: value})
+
+
+def test_radar_scenario_stores_list_ranges_as_tuples():
+    lists = RadarScenario(
+        noise_var=3.0,
+        n_pulses_range=[2, 6],
+        width_range=[10e-6, 16e-6],
+        pri_range=np.array([17e-6, 23e-6]),
+        delay_range=[1e-6, 10e-6],
+    )
+    tuples = RadarScenario(noise_var=3.0)
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert type(lists.width_range) is tuple
+    assert RadarEnv(lists).instance.means == RadarEnv(tuples).instance.means
 
 
 @pytest.mark.parametrize("value", [(2.5, 6), (2, math.nan), ("2", 6), (None, 6)])

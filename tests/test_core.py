@@ -47,6 +47,17 @@ def test_instance_rejects_negative_variance():
         Gaussian(-1.0)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.1", None, 1j, [0.1]])
+def test_variance_must_be_a_real_number(bad):
+    with pytest.raises(SupportViolation, match="sigma2"):
+        Gaussian(bad)
+
+
+@pytest.mark.parametrize("good", [0, 2, 0.5, np.int64(3), np.float32(0.25), np.float64(0.0)])
+def test_variance_accepts_ints_floats_and_numpy_reals(good):
+    assert Gaussian(good).sigma2 == good
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_instance_rejects_non_finite_values(bad):
     with pytest.raises(SupportViolation):

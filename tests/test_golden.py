@@ -62,8 +62,13 @@ CONFIGS = {
 
 ARGV = {
     "case-jammer-k12": ["case-jammer", "--K", "12", "--trials", "50", "--seed", "1"],
-    # 200 trials at K = 16 run in several blocks per cell, pinning the block rule.
-    "case-jammer-k16-blocks": ["case-jammer", "--K", "16", "--trials", "200", "--seed", "2"],
+    # 20 000 trials at K = 16 run in blocks of 4 096 (UE, SR, SH: rows of
+    # K arms) and of 16 384 (RE: rows of m = 4 groups), so every cell spans
+    # several blocks and the golden pins the block rule.
+    "case-jammer-k16-blocks": [
+        "case-jammer", "--K", "16", "--noise-grid", "0.2,0.4",
+        "--trials", "20000", "--seed", "2",
+    ],
     "case-radar": ["case-radar", "--plays", "300,600", "--trials", "12", "--seed", "4"],
 }
 
