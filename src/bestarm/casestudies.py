@@ -78,9 +78,12 @@ class JammerEnv(BanditEnv):
         super().__init__(BanditInstance(means=means, family=family))
 
     def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
-        scale = math.sqrt(n * self.scenario.noise_var)
-        noise = rng.normal(0.0, scale, size=(len(self._groups), trials))
-        return (n * self._group_mean[:, None] + noise).T
+        """N(n * group mean, n * noise_var) per group, from one standard
+        normal array scaled and shifted in place."""
+        sums = rng.standard_normal((len(self._groups), trials))
+        sums *= math.sqrt(n * self.scenario.noise_var)
+        sums += (n * self._group_mean)[:, None]
+        return sums.T
 
 
 def run_jammer_experiment(

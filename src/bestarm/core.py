@@ -149,7 +149,6 @@ def gap_profile(instance: BanditInstance) -> GapProfile:
         sub_gaps = mu[0] - mu[1:]  # Delta_a for a != a*, ascending
         if not np.isfinite(sub_gaps[-1] ** 2):  # the hardness terms square it
             raise SupportViolation("gaps between the means must be below 1e154")
-    sub_gaps = np.sort(sub_gaps)
     gaps = np.concatenate(([sub_gaps[0]], sub_gaps))  # best arm duplicates the min
     return GapProfile(
         sorted_means=tuple(mu.tolist()),
@@ -177,15 +176,24 @@ class RngStream:
         return np.random.default_rng([self.master_seed, self.stream_id])
 
 
+def _one_row(a: np.ndarray) -> np.ndarray:
+    """a[:1] when a is a 2-D view whose rows all alias its first (stride 0,
+    as np.broadcast_to makes), else a itself: the rows to read once."""
+    return a[:1] if a.ndim == 2 and a.strides[0] == 0 else a
+
+
 def _check_arms(instance: BanditInstance, arms) -> np.ndarray:
     """0-based int64 indices of an integer array, list or range of arms,
     range-checked at once. Any other dtype, float and bool included, raises
-    IndexOutOfRange."""
+    IndexOutOfRange. A stride-0 (trials, K) view is checked and converted on
+    its first row alone and comes back as that row, broadcast read-only."""
     arms = np.asarray(arms)
     if arms.dtype.kind not in "iu":
         raise IndexOutOfRange(f"arms must be integers, got dtype {arms.dtype}")
-    bad = (arms < 1) | (arms > instance.K)
+    row = _one_row(arms)
+    bad = (row < 1) | (row > instance.K)
     if bad.any():
-        arm = int(arms.flat[np.argmax(bad)])
+        arm = int(row.flat[np.argmax(bad)])
         raise IndexOutOfRange(f"arm {arm} outside [1, {instance.K}]")
-    return arms.astype(np.int64, copy=False) - 1
+    idx = row.astype(np.int64, copy=False) - 1
+    return idx if row is arms else np.broadcast_to(idx, arms.shape)

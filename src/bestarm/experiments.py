@@ -197,8 +197,10 @@ def run_cells(
     """Every (algorithm, T) cell of a sweep over a fixed environment.
 
     Before the first trial it refuses fewer than one trial or a budget
-    outside [1, MAX_BUDGET] (ConfigParse), and an environment whose best
-    arm is tied (DuplicateBestArm). `options` maps an algorithm label to its
+    outside [1, MAX_BUDGET] (ConfigParse), an environment whose best
+    arm is tied (DuplicateBestArm), and a Gaussian variance sigma2 so
+    large that a budget's sum of T rewards, of variance T * sigma2, has no
+    finite variance (SupportViolation). `options` maps an algorithm label to its
     ReOptions, ReOptions() by default; the label's base name before the
     dash picks the policy, so "RE-oracle" and "RE-plugin" run RE under two
     configurations.
@@ -218,6 +220,12 @@ def run_cells(
         raise ConfigParse(f"need trials >= 1, got {trials}")
     check_budgets(budgets)
     env.best_arm  # raises DuplicateBestArm on ties
+    sigma2 = env.sigma2
+    if sigma2 is not None and not all(math.isfinite(int(T) * sigma2) for T in budgets):
+        raise SupportViolation(
+            f"sigma2 = {sigma2!r} is too large for the budgets {list(budgets)}: "
+            "T * sigma2 must be finite"
+        )
     options = options or {}
     results: list[CellResult] = []
     cells = itertools.product(algorithms, map(int, budgets))

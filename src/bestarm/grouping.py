@@ -13,7 +13,7 @@ decode that lands on one signals a failed group test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +32,13 @@ class GroupCode:
     groups: tuple[np.ndarray, ...]
     dummy_arms: range
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Real members of each group as floats, shape (m,), read-only."""
+        sizes = np.array([len(members) for members in self.groups], dtype=float)
+        sizes.flags.writeable = False
+        return sizes
+
 
 @lru_cache(maxsize=64, typed=True)
 def construct_groups(K: int) -> GroupCode:
@@ -45,7 +52,8 @@ def construct_groups(K: int) -> GroupCode:
     K_padded = 2 ** (K - 1).bit_length()
     m = K_padded.bit_length() - 1
     arms = np.arange(1, K + 1, dtype=np.int64)
-    groups = tuple(arms[(arms - 1) >> k & 1 == 1] for k in range(m))
+    member = (arms - 1) >> np.arange(m)[:, None] & 1 == 1  # (m, K): bit k of a-1
+    groups = tuple(arms[row] for row in member)
     for members in groups:
         members.flags.writeable = False
     dummy_arms = range(K + 1, K_padded + 1)

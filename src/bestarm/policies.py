@@ -44,6 +44,8 @@ class BanditEnv:
     trials passes `pull_arms_sum` an int64 array of shape (trials, arms),
     one row per trial with its arms ascending, and gets one sum per entry
     back; a 1-D integer array, range or list of ints is read the same way.
+    A policy's first rows are one row broadcast with stride 0 (_arm_rows),
+    which the pull checks and gathers on that row alone.
     `pull_groups_sum` plays each group of construct_groups(K) and returns
     one sum per trial and group, shape (trials, m). The draws for a block
     come from the one generator `rng` of that block.
@@ -51,11 +53,12 @@ class BanditEnv:
     The arm pull checks its input first, at every n: arms are integers in
     [1, K] (else IndexOutOfRange; floats and bools are refused). With
     n <= 0 a pull returns zeros; otherwise the law hook `_arm_sums` draws
-    from 0-based int64 indices, and `_group_sums(n, rng, trials)` plays the
-    0-based groups `self._groups`, group k before group k+1; neither
-    mutates them. A custom environment subclasses BanditEnv and overrides
-    only these hooks, and `_group_width` if its group hook holds another
-    row per trial.
+    from 0-based int64 indices, a read-only broadcast view for such rows,
+    and `_group_sums(n, rng, trials)` plays the 0-based groups
+    `self._groups`, group k before group k+1; neither mutates them. A
+    custom environment subclasses BanditEnv and overrides only these
+    hooks, and `_group_width` if its group hook holds another row per
+    trial.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -104,6 +107,13 @@ class BanditEnv:
         return tuple(g - 1 for g in construct_groups(self.K).groups)
 
     @cached_property
+    def _group_size(self) -> np.ndarray:
+        """Members of each group as floats, shape (m,), read-only."""
+        size = np.array([len(idx) for idx in self._groups], dtype=float)
+        size.flags.writeable = False
+        return size
+
+    @cached_property
     def _group_mean(self) -> np.ndarray:
         """Mean of each group's member means, shape (m,)."""
         mu = self.instance._mean_array
@@ -117,32 +127,39 @@ class BanditEnv:
         group law holds another row overrides this with it."""
         if isinstance(self.instance.family, Gaussian):
             return len(self._groups)
-        return max(len(idx) for idx in self._groups)
+        return int(self._group_size.max())
 
     def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
         """Sufficient statistics, one numpy call filled in row-major order:
-        N(n*mu, n*sigma2) for Gaussian sums, Binomial(n, mu) otherwise."""
-        mu = self.instance._mean_array[idx]
+        N(n*mu, n*sigma2) for Gaussian sums, Binomial(n, mu) otherwise.
+
+        The means are gathered once for a shared-row `idx` (see
+        core._check_arms). A Gaussian sum is a standard normal scaled and
+        shifted in place, which gives rng.normal(n*mu, sqrt(n*sigma2))'s
+        values from one array; sigma2 = 0 draws nothing.
+        """
+        mu = self.instance._mean_array[core._one_row(idx)]
         family = self.instance.family
-        if isinstance(family, Gaussian):
-            sums = n * mu
-            if family.sigma2 > 0.0:
-                sums = sums + rng.normal(
-                    0.0, np.sqrt(n * family.sigma2), size=idx.shape
-                )
-            return np.asarray(sums, dtype=float)
-        return rng.binomial(n, mu).astype(float)
+        if not isinstance(family, Gaussian):
+            return rng.binomial(n, mu, idx.shape).astype(float)
+        if family.sigma2 == 0.0:
+            return np.broadcast_to(n * mu, idx.shape).copy()
+        sums = rng.standard_normal(idx.shape)
+        sums *= math.sqrt(n * family.sigma2)
+        sums += n * mu
+        return sums
 
     def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
         """A group play averages one draw per member: N(mean mu, sigma2/g)
-        for Gaussian rewards, all groups in one call; per-member Binomial
-        counts otherwise, group by group."""
+        for Gaussian rewards, all groups from one standard normal array
+        scaled and shifted in place; per-member Binomial counts otherwise,
+        group by group."""
         family = self.instance.family
         if isinstance(family, Gaussian):
-            g = np.array([len(idx) for idx in self._groups], dtype=float)
-            loc = n * self._group_mean
-            scale = np.sqrt(n * (family.sigma2 / g))
-            return rng.normal(loc[:, None], scale[:, None], (len(g), trials)).T
+            sums = rng.standard_normal((len(self._groups), trials))
+            sums *= np.sqrt(n * (family.sigma2 / self._group_size))[:, None]
+            sums += (n * self._group_mean)[:, None]
+            return sums.T
         mu = self.instance._mean_array
         out = np.empty((trials, len(self._groups)))
         for k, idx in enumerate(self._groups):  # per-member counts over n pulls
@@ -382,7 +399,7 @@ def run_re(
             f"RE needs (1-alpha)*T >= {m} group pulls, got T={T}"
         )
     pulls_used = 0
-    g = np.array([len(members) for members in code.groups], dtype=float)
+    g = code.sizes
     in_frac = 1.0 - 1.0 / g  # (m,): the in-group share of Delta_max
 
     # Phase 1: per-arm estimates (also feeds the fallback recommendation).
@@ -432,16 +449,18 @@ def run_re(
             pi0[fit], pi1[fit] = compute_priors(
                 group_hat[fit], *(a[fit] for a in args)
             )
-    # bounded families and inseparable groups use the prior-free midpoint
+    # bounded families, inseparable groups and equal priors, whose LRT
+    # shift is zero, use the prior-free midpoint
     tau = 0.5 * (mu_H_star + mu_L_star)
     sigma2 = env.sigma2
-    if sigma2 is not None and separable.any():
+    shifted = separable & (pi0 != pi1)
+    if sigma2 is not None and shifted.any():
         # A group mean over n plays has variance sigma2 / (g_k n); the
         # threshold reads K_padded/2 members, so sigma2 is rescaled to match.
         sigma2_k = sigma2 * (Kp / 2) / g
-        tau[separable] = lrt_threshold_gaussian(
-            *(a[separable] for a in (mu_H_star, mu_L_star, pi0, pi1)),
-            Kp, T, opts.alpha, sigma2_k[separable.nonzero()[1]],
+        tau[shifted] = lrt_threshold_gaussian(
+            *(a[shifted] for a in (mu_H_star, mu_L_star, pi0, pi1)),
+            Kp, T, opts.alpha, sigma2_k[shifted.nonzero()[1]],
         )
 
     # Phase 2: one scalar observation per group play, all in one pull.

@@ -380,6 +380,41 @@ def test_case_jammer_nan_noise_fails(capsys, tmp_path):
     assert_one_error(status, out, err, "SupportViolation", out_path)
 
 
+@pytest.mark.parametrize("algorithms", ["UE", "SR", "SH", "RE", "UE,SR,SH,RE"])
+def test_simulate_variance_too_large_for_the_budget_fails(capsys, tmp_path, algorithms):
+    # 64 * 1e308 overflows, so no 64-play sum has a finite variance
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "instance": {
+            "K": 8,
+            "generator": "single_gap",
+            "delta_min": 0.5,
+            "delta_max": 0.5,
+            "family": {"gaussian": {"sigma2": 1e308}},
+        },
+        "budgets": [64],
+        "algorithms": algorithms,
+        "trials": 10,
+        "master_seed": 1,
+    }))
+    out_path = tmp_path / "result.csv"
+    status, out, err = run_cli(
+        capsys, ["simulate", "--config", str(cfg), "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "SupportViolation", out_path)
+
+
+def test_case_jammer_noise_too_large_for_the_budget_fails(capsys, tmp_path):
+    # the first noise level runs; the second refuses, and no row is written
+    out_path = tmp_path / "jammer.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["case-jammer", "--K", "8", "--noise-grid", "0.1,1e307", "--T", "32",
+         "--trials", "5", "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "SupportViolation", out_path)
+
+
 def test_case_radar_csv_determinism(tmp_path, cli_env):
     """Two runs of one case-radar invocation write the same bytes."""
     argv = [sys.executable, "-m", "bestarm.cli", "case-radar", "--plays",

@@ -1,6 +1,7 @@
 """Harness tests: instance generators, Wilson CIs, sweeps, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,31 @@ def test_run_cells_tied_best_arm_runs_no_trial(monkeypatch):
     env = BanditEnv(BanditInstance(means=(0.5, 1.0, 1.0), family=Gaussian(0.1)))
     with pytest.raises(DuplicateBestArm):
         run_cells(env, ("SH", "RE"), (64,), 5, 0, "tied")
+
+
+def test_run_cells_refuses_a_variance_too_large_for_its_budgets(monkeypatch):
+    # 64 * 1e308 overflows: every draw of a 64-play sum would be inf or NaN
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    means = (1.0,) + (0.5,) * 7
+    env = BanditEnv(BanditInstance(means=means, family=Gaussian(1e308)))
+    with monkeypatch.context() as patched:
+        patched.setattr(experiments, "run_policy", no_trial)
+        for algorithm in ("UE", "SR", "SH", "RE"):
+            with pytest.raises(SupportViolation, match="T \\* sigma2"):
+                run_cells(env, (algorithm,), (8, 64), 10, 1, "huge")
+
+
+def test_run_cells_runs_the_largest_variance_its_budget_allows():
+    T = 64
+    means = (1.0,) + (0.5,) * 7
+    env = BanditEnv(BanditInstance(means=means, family=Gaussian(1.7e308 / T)))
+    plugin = {"RE-plugin": ReOptions(alpha=0.5, prior_mode="plugin")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid value on the way
+        cells = run_cells(env, ("UE", "SR", "SH", "RE", "RE-plugin"), (T,), 10, 1, "edge", plugin)
+    assert all(c.failure is None and 0 <= c.errors <= 10 for c in cells)
 
 
 def test_run_cells_options_by_label(monkeypatch):

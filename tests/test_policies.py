@@ -23,6 +23,7 @@ from bestarm import (
     hardness,
     run_policy,
 )
+from bestarm import policies
 from bestarm.experiments import wilson_interval
 from bestarm.hardness import q_function
 from bestarm.policies import (
@@ -349,6 +350,79 @@ def test_re_flags_non_separable_instances():
     mid = 0.5 * (diag["mu_H_star"] + diag["mu_L_star"])
     for k in range(3):
         assert diag["tau"][:, k] == pytest.approx(mid, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [8, 12, 1024])
+def test_re_oracle_threshold_is_the_exact_midpoint(K, monkeypatch):
+    # equal priors make the LRT shift zero: tau is the endpoint midpoint,
+    # bit for bit, and the shift is never evaluated
+    def no_shift(*args):
+        raise AssertionError("LRT evaluated at equal priors")
+
+    monkeypatch.setattr(policies, "lrt_threshold_gaussian", no_shift)
+    env = gaussian_env((1.0,) + tuple(np.linspace(0.5, 0.4995, K - 1)), 0.1)
+    run = run_re(env, 16 * K, rng(), trials=5)
+    assert not run.diagnostics["separability_flag"].any()
+    prof = env.true_gap_profile()
+    mu1, d2, d_max = prof.sorted_means[0], prof.delta_min, prof.delta_max
+    mu_L = mu1 - d2
+    for k, g in enumerate(construct_groups(K).sizes):
+        mu_H = mu1 - (1.0 - 1.0 / g) * d_max
+        assert (run.diagnostics["tau"][:, k] == 0.5 * (mu_H + mu_L)).all()
+
+
+def all_separable_lrt_tau(env, T, seed, opts, trials):
+    """RE's thresholds by the rule that evaluates the LRT in every separable
+    group, equal priors included: phase 1 replayed from the run's stream,
+    the priors read from the run's diagnostics."""
+    K = env.K
+    code = construct_groups(K)
+    g = code.sizes
+    r = rng(seed)
+    n1 = int(opts.alpha * T) // K
+    arm_hat = env.pull_arms_sum(np.tile(np.arange(1, K + 1), (trials, 1)), n1, r) / n1
+    if opts.prior_mode == "oracle":
+        prof = env.true_gap_profile()
+        ends = (prof.sorted_means[0], prof.delta_min, prof.delta_max)
+        mu1, d2, d_max = (np.full((trials, 1), v) for v in ends)
+    else:
+        top = np.sort(arm_hat, axis=1)
+        mu1 = top[:, -1:]
+        d2 = np.maximum(mu1 - top[:, -2:-1], 1e-6)
+        d_max = np.maximum(mu1 - top[:, :1], 1e-6)
+    mu_H = mu1 - (1.0 - 1.0 / g) * d_max
+    mu_L = (mu1 - d2).repeat(code.m, axis=1)
+    run = run_re(env, T, rng(seed), opts, trials)
+    pi0, pi1 = run.diagnostics["pi0"], run.diagnostics["pi1"]
+    sep = mu_H > mu_L
+    tau = 0.5 * (mu_H + mu_L)
+    sigma2_k = env.sigma2 * (code.K_padded / 2) / g
+    tau[sep] = lrt_threshold_gaussian(
+        *(a[sep] for a in (mu_H, mu_L, pi0, pi1)),
+        code.K_padded, T, opts.alpha, sigma2_k[sep.nonzero()[1]],
+    )
+    return run.diagnostics, tau, sep
+
+
+PLUGIN = ReOptions(alpha=0.2, prior_mode="plugin")
+
+
+# each case, with which of shifted (separable, pi0 != pi1), equal-prior and
+# inseparable groups its block holds
+LRT_CASES = [
+    ((1.0, 0.6, 0.5, 0.45, 0.4), 0.1, 400, PLUGIN, (True, True, True)),  # padded
+    ((1.0, 0.95) + (0.2,) * 6, 0.05, 240, PLUGIN, (False, False, True)),
+    ((1.0,) + tuple(np.linspace(0.5, 0.45, 11)), 0.1, 480,
+     ReOptions(alpha=0.2, prior_mode="oracle"), (True, False, False)),  # padded
+]
+
+
+@pytest.mark.parametrize("means,sigma2,T,opts,kinds", LRT_CASES)
+def test_re_unequal_priors_keep_their_lrt_thresholds(means, sigma2, T, opts, kinds):
+    diag, want, sep = all_separable_lrt_tau(gaussian_env(means, sigma2), T, 3, opts, 64)
+    assert diag["tau"].tobytes() == want.tobytes()
+    unequal = diag["pi0"] != diag["pi1"]
+    assert ((sep & unequal).any(), (sep & ~unequal).any(), (~sep).any()) == kinds
 
 
 def test_re_bounded_family_uses_midpoint():

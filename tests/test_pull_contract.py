@@ -85,6 +85,39 @@ def test_integral_arms_of_any_type_give_the_same_draw(env):
         assert np.array_equal(got, want)
 
 
+# every law, the noiseless Gaussian too, on a row that holds the radar's
+# active channel 3
+SHARED_ROW_ENVS = {
+    **ENVS,
+    "gaussian-0": lambda: BanditEnv(BanditInstance(means=MEANS, family=Gaussian(0.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ROW_ENVS))
+def test_shared_row_pull_draws_what_a_contiguous_pull_draws(name):
+    # a policy's (trials, K) rows are one row broadcast with stride 0; the
+    # pull reads that row once and must draw the same bytes in the same order
+    env = SHARED_ROW_ENVS[name]()
+    shared = np.broadcast_to(np.arange(1, 6), (7, 5))
+    assert shared.strides[0] == 0
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    got = env.pull_arms_sum(shared, 4, a)
+    want = env.pull_arms_sum(np.ascontiguousarray(shared), 4, b)
+    assert got.shape == want.shape == (7, 5)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+    assert a.bit_generator.state == b.bit_generator.state
+    assert got.flags.writeable  # a policy may add to it in place
+
+
+@pytest.mark.parametrize("n", [-1, 0, 3])
+def test_shared_row_pull_refuses_an_out_of_range_arm(env, n):
+    rng = np.random.default_rng(0)
+    for bad in OUT_OF_RANGE[:3]:  # 2**70 fits no integer dtype
+        shared = np.broadcast_to(np.array(bad), (4, len(bad)))
+        with pytest.raises(IndexOutOfRange, match="outside"):
+            env.pull_arms_sum(shared, n, rng)
+
+
 def test_radar_single_channel_pull_rejects_fractional_channel():
     env = ENVS["radar"]()
     for channel in (2.5, 2.0, True):

@@ -15,8 +15,11 @@ so that a cell whose cost swings between runs shows a wide range rather
 than one figure. The script prints one JSON object: per K and policy, the
 median over the passes of each pass's figure (the median over its calls
 of their thread CPU time divided by the trial count, in microseconds) and
-the [min, max] of those figures, the family under "family", and under
-"machine" the core count and the Python and numpy versions.
+the [min, max] of those figures, and "minflt": the median over the passes
+of the minor page faults per trial (`getrusage`'s `ru_minflt` of this
+process, read around the timed calls), which counts the block arrays
+faulted in afresh. The family is under "family", and under "machine" the
+core count and the Python and numpy versions.
 bestarm is imported before numpy, so this process, like the CLI, loads
 OpenBLAS with one thread and no idle BLAS worker spins beside the timed
 calls. It runs against whichever bestarm is first on the path, so the
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import time
 
@@ -42,14 +46,21 @@ PASSES = 3
 FAMILIES = {"gaussian": (1.0, 0.5, Gaussian(0.1)), "bernoulli": (0.9, 0.4, Bernoulli())}
 
 
-def cost_us(env, policy, T, trials, seconds) -> float:
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def cost_us(env, policy, T, trials, seconds) -> tuple[float, float]:
+    """Median thread CPU per trial, in us, and minor faults per trial."""
     run_cells(env, (policy,), (T,), trials, 0, "warm-up")
     samples = []
+    faults = -minflt()
     while sum(samples) * trials < seconds * 1e6:
         start = time.thread_time()
         run_cells(env, (policy,), (T,), trials, len(samples) + 1, "cost")
         samples.append((time.thread_time() - start) * 1e6 / trials)
-    return statistics.median(samples)
+    faults += minflt()
+    return statistics.median(samples), faults / (len(samples) * trials)
 
 
 def main() -> None:
@@ -69,9 +80,11 @@ def main() -> None:
             figures.append(cost_us(envs[K], p, 3 * K // 2, args.trials, args.seconds))
     table = {str(K): {} for K in KS}
     for (K, p), figures in costs.items():
+        us = [cpu for cpu, _ in figures]
         table[str(K)][p] = {
-            "median": round(statistics.median(figures), 1),
-            "range": [round(min(figures), 1), round(max(figures), 1)],
+            "median": round(statistics.median(us), 1),
+            "range": [round(min(us), 1), round(max(us), 1)],
+            "minflt": round(statistics.median(f for _, f in figures), 3),
         }
     table["family"] = args.family
     table["machine"] = {
