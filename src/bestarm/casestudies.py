@@ -36,15 +36,17 @@ DEFAULT_RADAR_PLAYS = (1200, 3000, 6000)
 # Fraction of a microsecond used to absorb float error when a pulse edge
 # lands exactly on a sample instant.
 _EDGE_EPS = 1e-6
-# Pulse-train draws behind the fixed-seed signal-energy oracle. Radar pulls
-# draw their plays in chunks of at most this many, so a pull never holds
-# more pulse-train data than the oracle does.
+# Plays per chunk when an I/Q capture's windows are drawn and summed.
 _SIGNAL_DRAWS = 200_000
-# Plays per block when counting on-pulse samples: the size of the three
-# float buffers that signal_sample_counts allocates once per call and reuses
-# for every block. Fresh (slots x plays) temporaries per block were handed
-# back to the kernel on free and faulted in again by the next block.
-_COUNT_BLOCK = 8192
+# Elements per working array while the pulse-count law is computed: small
+# enough that the arrays are reused from the heap instead of being mapped
+# and faulted in afresh for each chunk.
+_LAW_CHUNK = 1 << 13
+# Counts per multinomial chunk when pulse counts are drawn for a pull.
+_COUNT_CHUNK = 1 << 16
+# Gauss-Legendre nodes on [-1, 1] are -+ this: two per interval integrate
+# a quadratic exactly.
+_GAUSS_NODE = 1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -195,10 +197,10 @@ def _slots_that_can_start(scenario: RadarScenario) -> int:
 
     The scenario's ranges are finite and ordered, so with a positive pri
     no draw starts slot p earlier than delay_min + p * pri_min, and that
-    bound grows with p. Each float operation signal_sample_counts applies
-    to a start is monotone, so once the bound's first sample index,
-    ceil(bound * fs - _EDGE_EPS), reaches N, no draw puts a sample of that
-    slot, or of any later one, in the window. Otherwise every slot counts.
+    bound grows with p. A slot's first sample index, ceil(start * fs -
+    _EDGE_EPS), is monotone in its start, so once the bound's index reaches
+    N, no draw puts a sample of that slot, or of any later one, in the
+    window. Otherwise every slot counts.
     """
     hi_p = max(int(scenario.n_pulses_range[1]), 0)
     d_lo = scenario.delay_range[0]
@@ -214,74 +216,178 @@ def _slots_that_can_start(scenario: RadarScenario) -> int:
     return p
 
 
-def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
-    """On-pulse sample counts for n independent pulse-train draws.
+def _width_integral(y, lo: float, hi: float):
+    """The integral over [0, y] of P(t > x), for t uniform on [lo, hi]."""
+    if hi == lo:
+        return np.minimum(y, lo)
+    z = np.clip(y, lo, hi) - lo
+    return np.minimum(y, lo) + z - z * z / (2.0 * (hi - lo))
 
-    Width, pri and delay are the rows of one (3, n) draw, each scaled in
-    place as numpy's uniform scales it, so the values and the generator's
-    end state are those of three rng.uniform calls. Plays are counted in
-    blocks of at most _COUNT_BLOCK, one pulse slot that can start inside
-    the window at a time, in three buffers that every block reuses: the
-    working memory is bounded whatever n is, and no block allocates.
+
+def _width_survival(x, lo: float, hi: float):
+    """P(t > x), for t uniform on [lo, hi]."""
+    if hi == lo:
+        return (x < lo).astype(float)
+    return np.clip((hi - x) / (hi - lo), 0.0, 1.0)
+
+
+def _pri_breakpoints(N: int, s: int, pri, delay, width) -> np.ndarray:
+    """The pri values, in sample units, between which the count law of
+    s slots is quadratic in pri, with the ends of pri's range.
+
+    Two points i + eps - p pri of slot offsets p swap places, or lie a
+    width endpoint apart, at pri = (n - c) / d with n whole, 1 <= d < s and
+    c in {0, +-t_lo, +-t_hi}; a point meets a delay endpoint, or lies a
+    width endpoint beyond it, at pri = (i + eps - u - c) / p with c in
+    {0, t_lo, t_hi}. Duplicates are kept: they bound empty intervals.
     """
-    lo_p, hi_p = scenario.n_pulses_range
-    pulses = rng.integers(lo_p, hi_p + 1, size=n)
-    params = rng.random((3, n))
-    ranges = (scenario.width_range, scenario.pri_range, scenario.delay_range)
-    for row, (a, b) in zip(params, ranges):
-        # numpy's uniform computes a + (b - a) * u
-        row *= b - a
-        row += a
-    width, pri, delay = params
-    N, fs = scenario.N, scenario.fs
-    slots = _slots_that_can_start(scenario)
-    counts = np.zeros(n, dtype=np.int64)
-    size = min(n, _COUNT_BLOCK)
-    hi_buf, lo_buf, total_buf = np.empty(size), np.empty(size), np.empty(size)
-    for a in range(0, n, _COUNT_BLOCK):
-        cols = slice(a, a + _COUNT_BLOCK)
-        w, r, d, k = width[cols], pri[cols], delay[cols], pulses[cols]
-        hi, lo, total = hi_buf[: len(w)], lo_buf[: len(w)], total_buf[: len(w)]
-        total.fill(0.0)
-        for p in range(slots):
-            np.multiply(r, p, out=hi)
-            hi += d  # the slot's start
-            np.multiply(hi, fs, out=lo)
-            lo -= _EDGE_EPS
-            np.ceil(lo, out=lo)
-            hi += w
-            hi *= fs
-            hi -= _EDGE_EPS
-            np.ceil(hi, out=hi)
-            np.minimum(hi, N, out=hi)
-            np.maximum(lo, 0, out=lo)
-            hi -= lo
-            np.maximum(hi, 0, out=hi)
-            if p >= lo_p:  # every draw has at least lo_p pulses
-                np.greater(k, p, out=lo)
-                hi *= lo
-            total += hi
-        counts[cols] = total
-    return counts
+    lo, hi = pri
+    parts = [np.array(pri)]
+    for d in range(1, s):
+        for c in (0.0, *width, *(-w for w in width)):
+            n = np.arange(math.ceil(d * lo + c), math.floor(d * hi + c) + 1)
+            parts.append((n - c) / d)
+        for u in delay:
+            for c in (0.0, *width):
+                parts.append((np.arange(N) + (_EDGE_EPS - u - c)) / d)
+    x = np.sort(np.concatenate(parts))
+    return x[(x >= lo) & (x <= hi)]
 
 
-def mean_signal_energy(scenario: RadarScenario) -> float:
-    """Expected per-play signal energy, by a fixed-seed Monte-Carlo oracle.
+def _count_survival(N: int, s: int, pri, delay, width) -> np.ndarray:
+    """P(count >= c) for c = 0, ..., N*s + 1, for plays that count s >= 1
+    slots, with pri, delay and width ranges in sample units.
 
-    With unit amplitude the signal energy of a play equals its on-pulse
-    sample count, whose mean over the pulse-parameter law has no tidy closed
-    form once window truncation enters; a large deterministic sample pins it
-    to about three decimals, which is all the detection thresholds need.
-    Only the pulse law enters, so scenarios that differ in K, noise_var or
-    the active channel share one memoised value.
+    Given pri, sort the points e of E. For a delay u in the gap
+    (e_{j-1}, e_j], the count reaches c >= 1 exactly when the width exceeds
+    e_{j+c-1} - u (never if there is no such point). Over a delay uniform
+    on [u_lo, u_hi], the gap's share of P(count >= c) is
+    (Phi(e_{j+c-1} - a) - Phi(e_{j+c-1} - b)) / (u_hi - u_lo), with [a, b]
+    the gap clipped to the delay range and Phi = _width_integral; a point
+    delay u_lo == u_hi gives its gap P(t > e_{j+c-1} - u_lo). Either is
+    the gap's whole share while e_{j+c-1} < a + t_lo and nothing once
+    e_{j+c-1} >= b + t_hi, so only the terms between are evaluated. pri
+    is integrated by two Gauss-Legendre nodes between consecutive
+    _pri_breakpoints.
     """
-    return _pulse_law_energy(replace(scenario, K=2, noise_var=0.0, active_channel=1))
+    M = N * s
+    (u_lo, u_hi), (t_lo, t_hi) = delay, width
+    if pri[0] == pri[1]:
+        nodes, weights = np.array(pri[:1]), np.ones(1)
+    else:
+        x = _pri_breakpoints(N, s, pri, delay, width)
+        mid, half = (x[1:] + x[:-1]) / 2.0, (x[1:] - x[:-1]) / 2.0
+        mid, half = mid[half > 0], half[half > 0]
+        nodes = np.concatenate([mid - _GAUSS_NODE * half, mid + _GAUSS_NODE * half])
+        weights = np.concatenate([half, half]) / (pri[1] - pri[0])
+    if u_hi > u_lo:
+
+        def term(el, a, b):
+            a = _width_integral(el - a, t_lo, t_hi)
+            return (a - _width_integral(el - b, t_lo, t_hi)) / (u_hi - u_lo)
+
+    else:
+
+        def term(el, a, b):
+            return _width_survival(el - a, t_lo, t_hi)
+
+    survival = np.zeros(M + 2)
+    samples, slots = np.arange(N) + _EDGE_EPS, np.arange(s)
+    per = max(1, _LAW_CHUNK // (M + 1))
+    for q0 in range(0, len(nodes), per):
+        w = weights[q0 : q0 + per]
+        Q = len(w)
+        e = samples - (nodes[q0 : q0 + per, None] * slots)[:, :, None]
+        e = np.sort(e.reshape(Q, M), axis=1)
+        inf = np.full((Q, 1), np.inf)
+        below, above = np.hstack([-inf, e]), np.hstack([e, inf])
+        a, b = np.clip(below, u_lo, u_hi), np.clip(above, u_lo, u_hi)
+        if u_hi > u_lo:
+            q, j = np.nonzero(b > a)
+            share = w[q] * (b[q, j] - a[q, j]) / (u_hi - u_lo)
+        else:  # the one gap that holds the delay
+            q, j = np.nonzero((below < u_lo) & (u_lo <= above))
+            share = w[q]
+        a, b = a[q, j], b[q, j]
+        # rank inside each row by one search of the rows laid end to end
+        origin = min(e[:, 0].min(), u_lo + min(t_lo, 0.0)) - 1.0
+        span = max(e[:, -1].max(), u_hi + max(t_hi, 0.0)) - origin + 1.0
+        e = e.ravel()
+        flat = e - origin + np.repeat(span * np.arange(Q), M)
+        shift, first = span * q - origin, q * M
+        full = np.maximum(np.searchsorted(flat, a + t_lo + shift) - first, j)
+        stop = np.maximum(np.searchsorted(flat, b + t_hi + shift) - first, full)
+        # a gap's share reaches every c <= full - j whole
+        head = np.bincount(full - j + 1, weights=-share, minlength=M + 2)
+        head[0] += share.sum()
+        survival += np.cumsum(head[: M + 2])
+        W = int((stop - full).max())  # the most partial terms of a gap
+        if W == 0:
+            continue
+        step = max(1, _LAW_CHUNK // W)
+        for g in range(0, len(j), step):
+            g = slice(g, g + step)
+            ls = full[g, None] + np.arange(W)
+            ok = ls < stop[g, None]
+            # masked entries may point past their row; keep them in the array
+            el = e[np.minimum(ls + first[g, None], Q * M - 1)]
+            v = term(el, a[g, None], b[g, None]) * w[q[g], None]
+            survival += np.bincount(
+                (ls - j[g, None] + 1)[ok], weights=v[ok], minlength=M + 2
+            )
+    return survival
+
+
+def pulse_count_pmf(scenario: RadarScenario) -> tuple[np.ndarray, np.ndarray]:
+    """The exact law of one play's on-pulse sample count, as (support, pmf).
+
+    support runs from the least to the greatest count of positive
+    probability, and pmf[i] is the probability of count support[i]; both
+    are read-only. In sample units (u = delay * fs, pri * fs, t = width * fs),
+    a play whose k pulses meet s = min(k, slots) slots that can start in
+    the window (_slots_that_can_start) counts the points of
+    E = {i + _EDGE_EPS - p pri : 0 <= i < N, 0 <= p < s} in [u, u + t):
+    each slot's ceil-and-clip sample span, with overlapping pulses counted
+    once per slot. _count_survival integrates this over the delay, width
+    and pri laws exactly, and the uniform pulse count k mixes the laws of
+    each s. Only the pulse law enters, so scenarios that differ in K,
+    noise_var or the active channel share one memoised value.
+    """
+    return _pulse_count_law(replace(scenario, K=2, noise_var=0.0, active_channel=1))
 
 
 @lru_cache(maxsize=64)
-def _pulse_law_energy(scenario: RadarScenario) -> float:
-    rng = np.random.default_rng([8_675_309, scenario.N, _SIGNAL_DRAWS])
-    return float(signal_sample_counts(scenario, _SIGNAL_DRAWS, rng).mean())
+def _pulse_count_law(scenario: RadarScenario) -> tuple[np.ndarray, np.ndarray]:
+    N, fs = scenario.N, scenario.fs
+    pri, delay, width = (
+        (lo * fs, hi * fs)
+        for lo, hi in (scenario.pri_range, scenario.delay_range, scenario.width_range)
+    )
+    slots = _slots_that_can_start(scenario)
+    lo_p, hi_p = (int(k) for k in scenario.n_pulses_range)
+    pmf = np.zeros(N * slots + 1)
+    for s in range(slots + 1):
+        # the pulse counts k in [lo_p, hi_p] with min(max(k, 0), slots) == s
+        first = lo_p if s == 0 else max(lo_p, s)
+        last = hi_p if s == slots else min(hi_p, s)
+        share = max(0, last - first + 1) / (hi_p - lo_p + 1)
+        if s == 0:
+            pmf[0] += share
+        elif share:
+            survival = _count_survival(N, s, pri, delay, width)
+            pmf[: N * s + 1] += share * (survival[:-1] - survival[1:])
+    np.maximum(pmf, 0.0, out=pmf)
+    lo, hi = np.flatnonzero(pmf)[[0, -1]]
+    support, pmf = np.arange(lo, hi + 1), pmf[lo : hi + 1]
+    support.flags.writeable = pmf.flags.writeable = False
+    return support, pmf
+
+
+def mean_signal_energy(scenario: RadarScenario) -> float:
+    """Expected per-play signal energy: with unit amplitude, the mean
+    on-pulse sample count of pulse_count_pmf, exact up to rounding."""
+    support, pmf = pulse_count_pmf(scenario)
+    return float((support * pmf).sum())
 
 
 def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -343,12 +449,14 @@ class RadarEnv(BanditEnv):
     channel gives (noise_var/2) chi2(2Nn), and the active channel gives
     (noise_var/2) chi'2(2Nn, 2S/noise_var), where S sums the n plays'
     on-pulse counts. The idle members of a group add up to one
-    chi2(2Nn * idle members) draw. A pull of the active channel for a block
-    of trials counts the pulses of all its plays in one
-    signal_sample_counts call (chunked beyond _SIGNAL_DRAWS plays), which
-    holds its draws, its counts and three _COUNT_BLOCK buffers. The
-    instance's Gaussian family carries the energy variance N * noise_var**2
-    of an idle play for the RE threshold; no pull draws from it.
+    chi2(2Nn * idle members) draw. S is drawn from the exact per-play count
+    law of pulse_count_pmf: how many of the n plays take each count is one
+    multinomial draw, so a row costs one draw per count in the law's
+    support, whatever n is. A pull draws its rows' multinomials in chunks
+    of at most _COUNT_CHUNK counts. An I/Q capture instead gives each play
+    the energy of a uniformly drawn window. The instance's Gaussian family
+    carries the energy variance N * noise_var**2 of an idle play for the RE
+    threshold; no pull draws from it.
     """
 
     def __init__(self, scenario: RadarScenario, iq: tuple | None = None):
@@ -369,6 +477,7 @@ class RadarEnv(BanditEnv):
             active_mean = float(windows.mean())
         else:
             active_mean = N * nv + mean_signal_energy(scenario)
+            self._counts = pulse_count_pmf(scenario)
         means = [N * nv] * scenario.K
         means[scenario.active_channel - 1] = active_mean
         super().__init__(
@@ -387,7 +496,12 @@ class RadarEnv(BanditEnv):
                 return prefix[ofs + N] - prefix[ofs]
 
             return _row_sums(rows, n, windows)
-        signal = _row_sums(rows, n, lambda k: signal_sample_counts(scenario, k, rng))
+        support, pmf = self._counts
+        signal = np.empty(rows)
+        step = max(1, _COUNT_CHUNK // len(pmf))
+        for a in range(0, rows, step):
+            b = min(rows, a + step)
+            signal[a:b] = rng.multinomial(n, pmf, size=b - a) @ support
         if nv == 0.0:
             return signal
         return (nv / 2.0) * rng.noncentral_chisquare(2 * N * n, 2.0 * signal / nv)

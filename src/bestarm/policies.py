@@ -246,6 +246,8 @@ def lrt_threshold_gaussian(
             f"need mu_H* > mu_L*, got {mu_H_star} <= {mu_L_star}"
         )
     mid = 0.5 * (mu_H_star + mu_L_star)
+    # no shift at equal priors, even where 2 * sigma2 * log2(K) overflows
+    sigma2 = np.where(np.equal(pi0, pi1), 0.0, sigma2)
     shift = (
         2.0
         * sigma2

@@ -1,7 +1,8 @@
 """Reference oracles the tests check the package against.
 
 Single draws and per-sample simulations that the package replaced with
-sufficient-statistic draws, the explicit density-ratio form of RE's group
+sufficient-statistic draws, the per-play radar pulse counter that the
+exact count law replaced, the explicit density-ratio form of RE's group
 test, and the per-trial policies that the batched ones replaced: each is
 the plain definition of a law or an algorithm, kept here so the tests can
 compare the fast paths with it. The Gaussian tail bounds and the instance
@@ -18,7 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from bestarm.casestudies import _EDGE_EPS, JammerScenario, RadarScenario
+from bestarm.casestudies import (
+    _EDGE_EPS,
+    JammerScenario,
+    RadarScenario,
+    _slots_that_can_start,
+)
 from bestarm.core import BanditInstance, Bernoulli, Gaussian, _check_arms
 from bestarm.errors import BudgetTooSmall, DecodedDummyArm, IndexOutOfRange
 from bestarm.grouping import construct_groups, decode_best_arm
@@ -33,6 +39,10 @@ from bestarm.policies import (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Plays per block when counting on-pulse samples: the size of the three
+# float buffers that signal_sample_counts allocates once per call and reuses
+# for every block.
+_COUNT_BLOCK = 8192
 
 
 def instance_to_json(instance: BanditInstance) -> str:
@@ -178,6 +188,57 @@ def pulse_sample_spans(params: PulseParams, N: int, fs: float):
         if hi > lo:
             spans.append((lo, hi))
     return spans
+
+
+def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
+    """On-pulse sample counts for n independent pulse-train draws.
+
+    Width, pri and delay are the rows of one (3, n) draw, each scaled in
+    place as numpy's uniform scales it, so the values and the generator's
+    end state are those of three rng.uniform calls. Plays are counted in
+    blocks of at most _COUNT_BLOCK, one pulse slot that can start inside
+    the window at a time, in three buffers that every block reuses: the
+    working memory is bounded whatever n is, and no block allocates.
+    """
+    lo_p, hi_p = scenario.n_pulses_range
+    pulses = rng.integers(lo_p, hi_p + 1, size=n)
+    params = rng.random((3, n))
+    ranges = (scenario.width_range, scenario.pri_range, scenario.delay_range)
+    for row, (a, b) in zip(params, ranges):
+        # numpy's uniform computes a + (b - a) * u
+        row *= b - a
+        row += a
+    width, pri, delay = params
+    N, fs = scenario.N, scenario.fs
+    slots = _slots_that_can_start(scenario)
+    counts = np.zeros(n, dtype=np.int64)
+    size = min(n, _COUNT_BLOCK)
+    hi_buf, lo_buf, total_buf = np.empty(size), np.empty(size), np.empty(size)
+    for a in range(0, n, _COUNT_BLOCK):
+        cols = slice(a, a + _COUNT_BLOCK)
+        w, r, d, k = width[cols], pri[cols], delay[cols], pulses[cols]
+        hi, lo, total = hi_buf[: len(w)], lo_buf[: len(w)], total_buf[: len(w)]
+        total.fill(0.0)
+        for p in range(slots):
+            np.multiply(r, p, out=hi)
+            hi += d  # the slot's start
+            np.multiply(hi, fs, out=lo)
+            lo -= _EDGE_EPS
+            np.ceil(lo, out=lo)
+            hi += w
+            hi *= fs
+            hi -= _EDGE_EPS
+            np.ceil(hi, out=hi)
+            np.minimum(hi, N, out=hi)
+            np.maximum(lo, 0, out=lo)
+            hi -= lo
+            np.maximum(hi, 0, out=hi)
+            if p >= lo_p:  # every draw has at least lo_p pulses
+                np.greater(k, p, out=lo)
+                hi *= lo
+            total += hi
+        counts[cols] = total
+    return counts
 
 
 def radar_synthesize(

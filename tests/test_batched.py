@@ -16,6 +16,7 @@ import pytest
 from scipy.special import ndtr
 
 import oracles
+from oracles import _COUNT_BLOCK, signal_sample_counts
 from bestarm import (
     BanditEnv,
     BanditInstance,
@@ -25,14 +26,13 @@ from bestarm import (
     Gaussian,
     ReOptions,
 )
+import bestarm.casestudies as casestudies
 from bestarm.casestudies import (
-    _COUNT_BLOCK,
     JammerEnv,
     JammerScenario,
     RadarEnv,
     RadarScenario,
     _row_sums,
-    signal_sample_counts,
 )
 from bestarm.core import MAX_K, RngStream
 from bestarm.experiments import block_trials, group_mean_distribution, run_cells
@@ -329,24 +329,60 @@ def test_padded_re_threshold_is_each_groups_bayes_threshold():
     assert run.diagnostics["mu_H_star"] == pytest.approx(mu1 - 5 / 6 * prof.delta_max)
 
 
-def test_radar_pull_counts_pulses_once_per_block(monkeypatch):
-    import bestarm.casestudies as casestudies
+class MultinomialLog:
+    """A generator that records the (n, size) of each multinomial draw."""
 
-    calls = []
-    real = casestudies.signal_sample_counts
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
 
-    def counting(scenario, n, rng):
-        calls.append(n)
-        return real(scenario, n, rng)
+    def multinomial(self, n, pvals, size):
+        self.calls.append((n, size))
+        return self.rng.multinomial(n, pvals, size)
 
-    env = RadarEnv(RadarScenario(active_channel=3))  # runs the energy oracle
-    monkeypatch.setattr(casestudies, "signal_sample_counts", counting)
-    rng = np.random.default_rng(0)
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_radar_pull_counts_pulses_once_per_block():
+    """A block's active entries draw their summed pulse counts in one
+    multinomial call, one row per trial, whatever the play count."""
+    env = RadarEnv(RadarScenario(active_channel=3))
+    rng = MultinomialLog(np.random.default_rng(0))
     arms = np.tile(np.arange(1, 9), (64, 1))
     assert env.pull_arms_sum(arms, 100, rng).shape == (64, 8)
     group = oracles.pull_group_sum(env, np.array([3, 4, 7, 8]), 100, rng, 64)
     assert group.shape == (64,)
-    assert calls == [6400, 6400]
+    assert rng.calls == [(100, 64), (100, 64)]
+
+
+def test_radar_pulse_count_chunks_are_one_multinomial_draw():
+    env = RadarEnv(RadarScenario(noise_var=0.0))  # the pull returns S itself
+    rows = block_trials(env._group_width)  # the rows of an RE block
+    assert rows == 21_845
+    support, pmf = env._counts
+    assert rows * len(pmf) > 4 * casestudies._COUNT_CHUNK  # several chunks
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    got = env._active_sums(rows, 400, a)
+    want = b.multinomial(400, pmf, size=rows) @ support
+    np.testing.assert_array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_radar_active_pull_memory_is_bounded():
+    """Beyond its output, an RE block's active pull holds a few buffers of
+    _COUNT_CHUNK counts, not one row of counts per trial."""
+    env = RadarEnv(RadarScenario())
+    rows = block_trials(env._group_width)
+    rng = np.random.default_rng(0)
+    env._active_sums(rows, 400, rng)  # warm-up
+    tracemalloc.start()
+    try:
+        env._active_sums(rows, 400, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - 8 * rows
+    assert extra < 4 * 8 * casestudies._COUNT_CHUNK, f"{extra / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize("rows,n", [(1, 1), (3, 5), (7, 60_000), (2, 450_001)])

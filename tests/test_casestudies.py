@@ -21,10 +21,11 @@ from bestarm.casestudies import (
     JammerEnv,
     JammerScenario,
     RadarEnv,
+    _slots_that_can_start,
     load_iq_csv,
     mean_signal_energy,
+    pulse_count_pmf,
     seeded_radar_scenario,
-    signal_sample_counts,
 )
 from bestarm.core import MAX_K
 from bestarm.grouping import construct_groups
@@ -36,6 +37,7 @@ from oracles import (
     pulse_sample_spans,
     radar_energy,
     radar_synthesize,
+    signal_sample_counts,
 )
 
 
@@ -430,22 +432,15 @@ def test_radar_env_analytic_means():
 
 
 def test_mean_signal_energy_default_scenario():
-    # fixed-seed oracle for the default 30us window at 3.2 MHz
-    assert mean_signal_energy(RadarScenario()) == pytest.approx(55.8016, abs=0.25)
+    # the exact mean count of the default 30us window at 3.2 MHz; 10^6
+    # sampled plays (perfbench/reference.json) read 55.812
+    assert mean_signal_energy(RadarScenario()) == pytest.approx(55.80784977183, abs=1e-9)
 
 
-def test_mean_signal_energy_runs_once_per_pulse_law(monkeypatch):
+def test_mean_signal_energy_runs_once_per_pulse_law():
     import bestarm.casestudies as casestudies
 
-    calls = []
-    real = casestudies.signal_sample_counts
-
-    def counting(scenario, n, rng):
-        calls.append(n)
-        return real(scenario, n, rng)
-
-    monkeypatch.setattr(casestudies, "signal_sample_counts", counting)
-    casestudies._pulse_law_energy.cache_clear()
+    casestudies._pulse_count_law.cache_clear()
     for scenario in (
         RadarScenario(),
         RadarScenario(K=4),
@@ -453,9 +448,128 @@ def test_mean_signal_energy_runs_once_per_pulse_law(monkeypatch):
         RadarScenario(active_channel=5),
     ):
         RadarEnv(scenario)
-    assert calls == [200_000]
-    RadarEnv(RadarScenario(dwell_T=20e-6))  # another pulse law draws again
-    assert len(calls) == 2
+    assert casestudies._pulse_count_law.cache_info().misses == 1
+    RadarEnv(RadarScenario(dwell_T=20e-6))  # another pulse law is computed again
+    assert casestudies._pulse_count_law.cache_info().misses == 2
+
+
+def law_scenario(r):
+    """Pulse laws of at most four slots that can start in a short window,
+    in the style of test_reference_oracles.random_scenario: some widths,
+    delays and pris are point masses, pulses may outnumber the slots or
+    overlap, and delays and pris may be negative."""
+    fs = float(r.choice([1e6, 2e6, 3.2e6]))
+    width_lo = float(r.uniform(0.5e-6, 15e-6))
+    pri_lo = float(r.uniform(-4e-6, 20e-6))
+    delay_lo = float(r.uniform(-8e-6, 10e-6))
+    lo_p = int(r.integers(0, 4))
+
+    def span(scale):  # a point mass one time in four
+        return 0.0 if r.random() < 0.25 else float(r.uniform(0.0, scale))
+
+    return RadarScenario(
+        fs=fs,
+        dwell_T=float(r.uniform(3e-6, 40e-6)),
+        n_pulses_range=(lo_p, lo_p + int(r.integers(0, 5))),
+        width_range=(width_lo, width_lo + span(8e-6)),
+        pri_range=(pri_lo, pri_lo + span(4e-6)),
+        delay_range=(delay_lo, delay_lo + span(12e-6)),
+    )
+
+
+LAW_SCENARIOS = [RadarScenario()] + [
+    law_scenario(np.random.default_rng([31, k])) for k in range(24)
+]
+
+
+def full_pmf(scenario):
+    support, pmf = pulse_count_pmf(scenario)
+    out = np.zeros(support[-1] + 1)
+    out[support] = pmf
+    return out
+
+
+def test_pulse_law_grid_covers_its_cases():
+    cases = {
+        "point width": any(sc.width_range[0] == sc.width_range[1] for sc in LAW_SCENARIOS),
+        "point delay": any(sc.delay_range[0] == sc.delay_range[1] for sc in LAW_SCENARIOS),
+        "point pri": any(sc.pri_range[0] == sc.pri_range[1] for sc in LAW_SCENARIOS),
+        "fewer pulses than slots": any(
+            sc.n_pulses_range[0] < _slots_that_can_start(sc) for sc in LAW_SCENARIOS
+        ),
+        "overlapping pulses": any(
+            sc.width_range[1] > sc.pri_range[0] and sc.n_pulses_range[1] > 1
+            for sc in LAW_SCENARIOS
+        ),
+        "negative delay": any(sc.delay_range[0] < 0 for sc in LAW_SCENARIOS),
+        "negative pri": any(sc.pri_range[0] < 0 for sc in LAW_SCENARIOS),
+        "three or more slots": any(_slots_that_can_start(sc) >= 3 for sc in LAW_SCENARIOS),
+    }
+    assert all(cases.values()), cases
+
+
+@pytest.mark.parametrize("k", range(len(LAW_SCENARIOS)))
+def test_pulse_count_pmf_is_a_law(k):
+    support, pmf = pulse_count_pmf(LAW_SCENARIOS[k])
+    assert (pmf >= 0).all() and pmf[0] > 0 and pmf[-1] > 0
+    np.testing.assert_array_equal(support, np.arange(support[0], support[-1] + 1))
+    assert abs(pmf.sum() - 1.0) <= 1e-12
+    assert not (support.flags.writeable or pmf.flags.writeable)
+
+
+@pytest.mark.parametrize("k", range(len(LAW_SCENARIOS)))
+def test_pulse_count_pmf_is_exact_between_breakpoints(k, monkeypatch):
+    """The law is quadratic in pri between breakpoints, so splitting every
+    interval in three moves no probability beyond rounding."""
+    import bestarm.casestudies as casestudies
+
+    sc = LAW_SCENARIOS[k]
+    want = full_pmf(sc)
+    real = casestudies._pri_breakpoints
+
+    def thirds(*args):
+        x = real(*args)
+        step = np.diff(x)
+        return np.sort(np.concatenate([x, x[:-1] + step / 3, x[:-1] + 2 * step / 3]))
+
+    monkeypatch.setattr(casestudies, "_pri_breakpoints", thirds)
+    casestudies._pulse_count_law.cache_clear()
+    try:
+        got = full_pmf(sc)
+    finally:
+        casestudies._pulse_count_law.cache_clear()
+    assert len(got) == len(want)
+    assert abs(got - want).max() <= 1e-13
+
+
+def assert_counts_fit(counts, pmf):
+    """Pearson's chi-square of sampled counts against pmf, cells with an
+    expected count below 5 pooled, refused at tail probability 1e-6."""
+    obs = np.bincount(counts, minlength=len(pmf))
+    assert len(obs) == len(pmf), "a count outside the law's support"
+    exp = pmf * len(counts)
+    big = exp >= 5
+    obs = np.append(obs[big], obs[~big].sum())
+    exp = np.append(exp[big], exp[~big].sum())
+    if exp[-1] < 1e-9:  # nothing to pool
+        assert obs[-1] == 0
+        obs, exp = obs[:-1], exp[:-1]
+    if len(exp) == 1:  # one count carries all the mass
+        assert obs[0] == len(counts)
+        return
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert stats.chi2.sf(chi2, len(exp) - 1) > 1e-6, (chi2, len(exp) - 1)
+
+
+def test_pulse_count_pmf_fits_per_play_counts_default_law():
+    sc = RadarScenario()
+    assert_counts_fit(signal_sample_counts(sc, 1_000_000, rng(26)), full_pmf(sc))
+
+
+@pytest.mark.parametrize("k", range(1, len(LAW_SCENARIOS)))
+def test_pulse_count_pmf_fits_per_play_counts(k):
+    sc = LAW_SCENARIOS[k]
+    assert_counts_fit(signal_sample_counts(sc, 100_000, rng([26, k])), full_pmf(sc))
 
 
 # ------------------------------------------------------------------- iq files

@@ -1,6 +1,7 @@
 """Policy runs: uniform, successive rejects, halving, grouped exploration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ def test_priors_always_normalized(mu_hat, e_h, e_l, l1, l0):
 def test_threshold_is_midpoint_at_equal_priors():
     tau = lrt_threshold_gaussian(0.8, 0.2, 0.5, 0.5, 16, 1000, 0.0, 2.0)
     assert tau == pytest.approx(0.5, abs=1e-12)
+
+
+def test_threshold_is_midpoint_at_equal_priors_when_the_shift_overflows():
+    # 2 * sigma2 * log2(K) overflows to inf, and inf * log(1) would be NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = lrt_threshold_gaussian(0.9, 0.5, 0.5, 0.5, 1024, 8192, 0.0, 1e308)
+        taus = lrt_threshold_gaussian(
+            np.array([0.9, 0.9]), 0.5, np.array([0.5, 0.6]), np.array([0.5, 0.4]),
+            1024, 8192, 0.0, 1.0,
+        )
+    assert tau == 0.5 * (0.9 + 0.5)
+    assert taus[0] == 0.5 * (0.9 + 0.5) and taus[1] > taus[0]  # pi0 > pi1
 
 
 def test_threshold_shifts_up_when_null_is_favored():
