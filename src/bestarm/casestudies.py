@@ -161,7 +161,7 @@ class RadarScenario:
                 raise SupportViolation(
                     f"{name} must be finite numbers with lo <= hi, got {value!r}"
                 )
-            # a tuple, so that the scenario hashes for the energy memo
+            # a tuple, so that the scenario hashes for the pulse-count law memo
             object.__setattr__(self, name, (lo, hi))
         if not all(
             isinstance(x, (int, np.integer))

@@ -434,7 +434,8 @@ def test_radar_env_analytic_means():
 def test_mean_signal_energy_default_scenario():
     # the exact mean count of the default 30us window at 3.2 MHz; 10^6
     # sampled plays (perfbench/reference.json) read 55.812
-    assert mean_signal_energy(RadarScenario()) == pytest.approx(55.80784977183, abs=1e-9)
+    exact = pytest.approx(55.80784977183, abs=1e-9)
+    assert mean_signal_energy(RadarScenario()) == exact
 
 
 def test_mean_signal_energy_runs_once_per_pulse_law():
@@ -490,20 +491,24 @@ def full_pmf(scenario):
 
 
 def test_pulse_law_grid_covers_its_cases():
+    def point(lo_hi):
+        return lo_hi[0] == lo_hi[1]
+
+    laws = LAW_SCENARIOS
     cases = {
-        "point width": any(sc.width_range[0] == sc.width_range[1] for sc in LAW_SCENARIOS),
-        "point delay": any(sc.delay_range[0] == sc.delay_range[1] for sc in LAW_SCENARIOS),
-        "point pri": any(sc.pri_range[0] == sc.pri_range[1] for sc in LAW_SCENARIOS),
+        "point width": any(point(sc.width_range) for sc in laws),
+        "point delay": any(point(sc.delay_range) for sc in laws),
+        "point pri": any(point(sc.pri_range) for sc in laws),
         "fewer pulses than slots": any(
-            sc.n_pulses_range[0] < _slots_that_can_start(sc) for sc in LAW_SCENARIOS
+            sc.n_pulses_range[0] < _slots_that_can_start(sc) for sc in laws
         ),
         "overlapping pulses": any(
             sc.width_range[1] > sc.pri_range[0] and sc.n_pulses_range[1] > 1
-            for sc in LAW_SCENARIOS
+            for sc in laws
         ),
-        "negative delay": any(sc.delay_range[0] < 0 for sc in LAW_SCENARIOS),
-        "negative pri": any(sc.pri_range[0] < 0 for sc in LAW_SCENARIOS),
-        "three or more slots": any(_slots_that_can_start(sc) >= 3 for sc in LAW_SCENARIOS),
+        "negative delay": any(sc.delay_range[0] < 0 for sc in laws),
+        "negative pri": any(sc.pri_range[0] < 0 for sc in laws),
+        "three or more slots": any(_slots_that_can_start(sc) >= 3 for sc in laws),
     }
     assert all(cases.values()), cases
 
