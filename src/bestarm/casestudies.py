@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class JammerEnv(BanditEnv):
     Single pulls are the base class's Gaussian draws with variance
     noise_var. The noise is the receiver's, not the arms', so a subset
     probe keeps the full noise floor while its mean shrinks to 1/|S|: the
-    group law is the one hook this class overrides.
+    group variance table is all this class overrides.
     """
 
     def __init__(self, scenario: JammerScenario):
@@ -79,13 +79,10 @@ class JammerEnv(BanditEnv):
         family = Gaussian(scenario.noise_var)
         super().__init__(BanditInstance(means=means, family=family))
 
-    def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
-        """N(n * group mean, n * noise_var) per group, from one standard
-        normal array scaled and shifted in place."""
-        sums = rng.standard_normal((len(self._groups), trials))
-        sums *= math.sqrt(n * self.scenario.noise_var)
-        sums += (n * self._group_mean)[:, None]
-        return sums.T
+    @cached_property
+    def _group_var(self) -> np.ndarray:
+        """noise_var for every group, whatever its size."""
+        return np.full(len(self._groups), self.scenario.noise_var)
 
 
 def run_jammer_experiment(
@@ -352,6 +349,13 @@ def pulse_count_pmf(scenario: RadarScenario) -> tuple[np.ndarray, np.ndarray]:
     and pri laws exactly, and the uniform pulse count k mixes the laws of
     each s. Only the pulse law enters, so scenarios that differ in K,
     noise_var or the active channel share one memoised value.
+
+    The first call for a law costs about the fourth power of its slot
+    count, since both the pri breakpoints and each node's terms grow with
+    its square. On a 2-core Xeon host the default law (2 slots) takes
+    8 ms, and 6-slot laws take 3-6 s: RadarScenario(dwell_T=120e-6) 2.9 s,
+    and RadarScenario(pri_range=(-3e-6, 8e-6), delay_range=(-5e-6, 10e-6))
+    5.7 s.
     """
     return _pulse_count_law(replace(scenario, K=2, noise_var=0.0, active_channel=1))
 
@@ -463,7 +467,7 @@ class RadarEnv(BanditEnv):
         self.scenario = scenario
         N = scenario.N
         nv = scenario.noise_var
-        self._prefix = None
+        self._windows = None
         if iq is not None:
             i_arr, q_arr = iq
             if len(i_arr) < N:
@@ -471,10 +475,10 @@ class RadarEnv(BanditEnv):
                     f"need at least N = {N} samples, got {len(i_arr)}"
                 )
             energy = np.asarray(i_arr) ** 2 + np.asarray(q_arr) ** 2
-            self._prefix = np.concatenate([[0.0], np.cumsum(energy)])
-            self._n_windows = len(energy) - N + 1
-            windows = self._prefix[N:] - self._prefix[:-N]
-            active_mean = float(windows.mean())
+            prefix = np.concatenate([[0.0], np.cumsum(energy)])
+            # the energy of the N-sample window at each offset of the capture
+            self._windows = prefix[N:] - prefix[:-N]
+            active_mean = float(self._windows.mean())
         else:
             active_mean = N * nv + mean_signal_energy(scenario)
             self._counts = pulse_count_pmf(scenario)
@@ -486,16 +490,12 @@ class RadarEnv(BanditEnv):
 
     def _active_sums(self, rows: int, n: int, rng) -> np.ndarray:
         """Energy of n plays of the active channel, for each of `rows` rows."""
-        scenario = self.scenario
-        N, nv = scenario.N, scenario.noise_var
-        if self._prefix is not None:
-            prefix = self._prefix
-
-            def windows(k):
-                ofs = rng.integers(0, self._n_windows, size=k)
-                return prefix[ofs + N] - prefix[ofs]
-
-            return _row_sums(rows, n, windows)
+        N, nv = self.scenario.N, self.scenario.noise_var
+        windows = self._windows
+        if windows is not None:
+            return _row_sums(
+                rows, n, lambda k: windows[rng.integers(0, len(windows), size=k)]
+            )
         support, pmf = self._counts
         signal = np.empty(rows)
         step = max(1, _COUNT_CHUNK // len(pmf))
@@ -510,33 +510,34 @@ class RadarEnv(BanditEnv):
         """Energy of n plays of one channel."""
         return float(self.pull_arms_sum(np.array([arm]), n, rng)[0])
 
-    def _arm_sums(self, idx, n: int, rng) -> np.ndarray:
-        """Idle channels first, in order, then every active entry at once;
-        the inherited Gaussian draws would come from the wrong law."""
-        out = np.zeros(idx.shape)
-        active = idx == self.scenario.active_channel - 1
+    def _energy_sums(
+        self, rows: int, n: int, rng, active: bool = False, idle: int = 0
+    ) -> np.ndarray:
+        """Summed energy of n plays of a set of channels, for each of `rows`
+        rows: the active channel's draw first if the set holds it, then one
+        (noise_var/2) chi2(2Nn * idle) for all `idle` idle members."""
         nv = self.scenario.noise_var
-        idle = idx.size - int(np.count_nonzero(active))
+        total = self._active_sums(rows, n, rng) if active else np.zeros(rows)
         if idle and nv > 0.0:
-            chi = rng.chisquare(2 * self.scenario.N * n, size=idle)
-            out[~active] = (nv / 2.0) * chi
-        if idle < idx.size:
-            out[active] = self._active_sums(idx.size - idle, n, rng)
+            chi = rng.chisquare(2 * self.scenario.N * n * idle, size=rows)
+            total += (nv / 2.0) * chi
+        return total
+
+    def _arm_sums(self, idx, n: int, rng) -> np.ndarray:
+        """Idle entries first, in row-major order, then every active entry
+        at once; the inherited Gaussian draws would come from the wrong law."""
+        out = np.empty(idx.shape)
+        active = idx == self.scenario.active_channel - 1
+        out[~active] = self._energy_sums(np.count_nonzero(~active), n, rng, idle=1)
+        out[active] = self._energy_sums(np.count_nonzero(active), n, rng, active=True)
         return out
 
     def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
         """Per group, in order: the active channel, then all idle members at once."""
-        scenario = self.scenario
         out = np.empty((trials, len(self._groups)))
         for k, idx in enumerate(self._groups):
-            has_active = scenario.active_channel - 1 in idx
-            total = np.zeros(trials)
-            if has_active:
-                total += self._active_sums(trials, n, rng)
-            idle = len(idx) - has_active
-            if idle and scenario.noise_var > 0.0:
-                chi = rng.chisquare(2 * scenario.N * n * idle, size=trials)
-                total += (scenario.noise_var / 2.0) * chi
+            active = self.scenario.active_channel - 1 in idx
+            total = self._energy_sums(trials, n, rng, active, len(idx) - active)
             out[:, k] = total / len(idx)
         return out
 

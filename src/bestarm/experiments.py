@@ -292,21 +292,12 @@ RESULT_COLUMNS = (
 
 
 def result_rows(results) -> list[list]:
-    """CellResults as CSV value rows; absent cells keep empty value fields."""
+    """CellResults as CSV value rows, one field per RESULT_COLUMNS name;
+    absent cells keep empty value fields."""
     rows: list[list] = []
     for r in results:
-        rows.append(
-            [
-                r.instance_id,
-                r.algorithm,
-                r.T,
-                r.trials,
-                "" if r.errors is None else r.errors,
-                "" if r.p_hat is None else float(r.p_hat),
-                "" if r.ci_lo is None else float(r.ci_lo),
-                "" if r.ci_hi is None else float(r.ci_hi),
-            ]
-        )
+        values = (getattr(r, name) for name in RESULT_COLUMNS)
+        rows.append(["" if v is None else v for v in values])
     return rows
 
 

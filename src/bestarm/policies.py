@@ -13,8 +13,9 @@ a set of arms:
 One group play costs one unit of budget (the agent probes a subset and sees
 one scalar), matching the combinatorial-pull model. ``BanditEnv`` adapts a
 ``BanditInstance`` and owns the pull contract (arm checks, n <= 0); the
-case-study environments subclass it and override only the observation law,
-its ``_arm_sums`` and ``_group_sums`` hooks.
+case-study environments subclass it and override only the observation law:
+its ``_arm_sums`` and ``_group_sums`` hooks, or the Gaussian group variance
+table ``_group_var``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class BanditEnv:
     and `_group_sums(n, rng, trials)` plays the 0-based groups
     `self._groups`, group k before group k+1; neither mutates them. A
     custom environment subclasses BanditEnv and overrides only these
-    hooks, and `_group_width` if its group hook holds another row per
-    trial.
+    hooks, or for a Gaussian law whose group noise does not shrink with
+    group size, only the variance table `_group_var`.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -107,11 +108,11 @@ class BanditEnv:
         return tuple(g - 1 for g in construct_groups(self.K).groups)
 
     @cached_property
-    def _group_size(self) -> np.ndarray:
-        """Members of each group as floats, shape (m,), read-only."""
+    def _group_var(self) -> np.ndarray:
+        """Variance of one play of each group under a Gaussian law, shape
+        (m,): sigma2 / g_k, since a play averages g_k member draws."""
         size = np.array([len(idx) for idx in self._groups], dtype=float)
-        size.flags.writeable = False
-        return size
+        return self.instance.family.sigma2 / size
 
     @cached_property
     def _group_mean(self) -> np.ndarray:
@@ -123,11 +124,10 @@ class BanditEnv:
     def _group_width(self) -> int:
         """Floats one trial's row holds in `_group_sums`: one per group for
         a Gaussian law, which draws each group mean at once, and the
-        largest group's members for per-member counts. A subclass whose
-        group law holds another row overrides this with it."""
+        largest group's members for per-member counts."""
         if isinstance(self.instance.family, Gaussian):
             return len(self._groups)
-        return int(self._group_size.max())
+        return max(len(idx) for idx in self._groups)
 
     def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
         """Sufficient statistics, one numpy call filled in row-major order:
@@ -150,14 +150,13 @@ class BanditEnv:
         return sums
 
     def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
-        """A group play averages one draw per member: N(mean mu, sigma2/g)
+        """A group play averages one draw per member: N(mean mu, _group_var)
         for Gaussian rewards, all groups from one standard normal array
         scaled and shifted in place; per-member Binomial counts otherwise,
         group by group."""
-        family = self.instance.family
-        if isinstance(family, Gaussian):
+        if isinstance(self.instance.family, Gaussian):
             sums = rng.standard_normal((len(self._groups), trials))
-            sums *= np.sqrt(n * (family.sigma2 / self._group_size))[:, None]
+            sums *= np.sqrt(n * self._group_var)[:, None]
             sums += (n * self._group_mean)[:, None]
             return sums.T
         mu = self.instance._mean_array

@@ -419,6 +419,43 @@ def test_radar_group_pull_matches_member_sums(members, pulse_count_moments):
     assert_same_law(got, want, mean, var)
 
 
+def rebuild_radar_arm_sums(sc, arms, n, r):
+    """A radar arm pull's draws written out: one chi2(2Nn) per idle entry
+    in row-major order, then for the active entries their multinomial
+    count rows and noncentral chi-squares. A set with no entries draws
+    nothing."""
+    N, nv = sc.N, sc.noise_var
+    support, pmf = pulse_count_pmf(sc)
+    active = arms == sc.active_channel
+    out = np.zeros(arms.shape)
+    if (~active).any():
+        out[~active] = (nv / 2.0) * r.chisquare(2 * N * n, size=(~active).sum())
+    if active.any():
+        counts = r.multinomial(n, pmf, size=active.sum()) @ support
+        out[active] = (nv / 2.0) * r.noncentral_chisquare(2 * N * n, 2.0 * counts / nv)
+    return out
+
+
+@pytest.mark.parametrize(
+    "arms",
+    [
+        [[1, 3, 5], [2, 3, 8], [3, 6, 7]],  # idle and active entries mixed
+        np.broadcast_to(np.arange(1, 9), (4, 8)),  # one row shared by a block
+        [[3], [3], [3]],  # active entries only
+        [[1, 2], [4, 8]],  # idle entries only
+    ],
+)
+def test_radar_arm_pull_draws_idle_entries_then_active_ones(arms):
+    sc = RadarScenario(active_channel=3, noise_var=1.5)
+    env = RadarEnv(sc)
+    arms = np.asarray(arms)
+    got_rng, want_rng = rng(21), rng(21)
+    got = env.pull_arms_sum(arms, 5, got_rng)
+    want = rebuild_radar_arm_sums(sc, arms, 5, want_rng)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_radar_env_analytic_means():
     sc = RadarScenario(noise_var=3.0)
     env = RadarEnv(sc)

@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bestarm.cli import main
@@ -72,7 +73,22 @@ ARGV = {
     "case-radar": ["case-radar", "--plays", "300,600", "--trials", "12", "--seed", "4"],
 }
 
-CASES = sorted([*CONFIGS, *ARGV])
+# Runs given an I/Q capture for the active channel: 400 samples of complex
+# noise, N(0, 3.3^2) on each rail, written as repr floats.
+IQ_ARGV = {
+    "case-radar-iq": [
+        "case-radar", "--plays", "300,600", "--trials", "40", "--seed", "4",
+    ],
+}
+
+CASES = sorted([*CONFIGS, *ARGV, *IQ_ARGV])
+
+
+def write_capture(path: Path) -> None:
+    rng = np.random.default_rng(27)
+    i, q = rng.normal(scale=3.3, size=400), rng.normal(scale=3.3, size=400)
+    rows = [f"{n},{a!r},{b!r}" for n, (a, b) in enumerate(zip(i.tolist(), q.tolist()))]
+    path.write_text("\n".join(["n,i,q", *rows]) + "\n")
 
 
 def argv_for(name: str, workdir: Path) -> list[str]:
@@ -80,6 +96,10 @@ def argv_for(name: str, workdir: Path) -> list[str]:
         cfg = workdir / f"{name}.json"
         cfg.write_text(json.dumps(CONFIGS[name]))
         return ["simulate", "--config", str(cfg)]
+    if name in IQ_ARGV:
+        capture = workdir / f"{name}-capture.csv"
+        write_capture(capture)
+        return [*IQ_ARGV[name], "--iq", str(capture)]
     return list(ARGV[name])
 
 
