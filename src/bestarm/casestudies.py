@@ -42,8 +42,15 @@ _SIGNAL_DRAWS = 200_000
 # enough that the arrays are reused from the heap instead of being mapped
 # and faulted in afresh for each chunk.
 _LAW_CHUNK = 1 << 13
-# Counts per multinomial chunk when pulse counts are drawn for a pull.
+# Counts that the support of the deepest summed pulse-count table a radar
+# environment builds may span, and counts per multinomial chunk for plays
+# beyond the tables.
 _COUNT_CHUNK = 1 << 16
+# Mass a summed pulse-count table may drop at either end of its support:
+# half the 2**-53 step between the uniforms of rng.random(), so up to
+# rounding the drop moves only the draw of the uniform 0. The FFT's own
+# rounding moves the cdf by more, about 1e-15.
+_TABLE_TAIL = 2.0**-54
 # Gauss-Legendre nodes on [-1, 1] are -+ this: two per interval integrate
 # a quadratic exactly.
 _GAUSS_NODE = 1.0 / math.sqrt(3.0)
@@ -420,6 +427,21 @@ def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(i_vals), np.asarray(q_vals)
 
 
+def _trimmed_cdf(pmf) -> tuple[int, np.ndarray]:
+    """(first count kept, cdf) of pmf, negative entries clipped and the
+    law renormalised. The counts at either end whose summed mass is at
+    most _TABLE_TAIL are dropped, their mass left in the nearest count
+    kept, so the cdf ends at exactly 1."""
+    pmf = np.maximum(pmf, 0.0)
+    pmf /= pmf.sum()
+    cdf, tail = np.cumsum(pmf), np.cumsum(pmf[::-1])
+    first = int(np.searchsorted(cdf, _TABLE_TAIL, side="right"))
+    stop = len(pmf) - int(np.searchsorted(tail, _TABLE_TAIL, side="right"))
+    cdf = cdf[first:stop].copy()
+    cdf[-1] = 1.0
+    return first, cdf
+
+
 def _row_sums(rows: int, n: int, draw) -> np.ndarray:
     """Sums of n consecutive per-play values for each of `rows` rows.
 
@@ -454,10 +476,16 @@ class RadarEnv(BanditEnv):
     (noise_var/2) chi'2(2Nn, 2S/noise_var), where S sums the n plays'
     on-pulse counts. The idle members of a group add up to one
     chi2(2Nn * idle members) draw. S is drawn from the exact per-play count
-    law of pulse_count_pmf: how many of the n plays take each count is one
-    multinomial draw, so a row costs one draw per count in the law's
-    support, whatever n is. A pull draws its rows' multinomials in chunks
-    of at most _COUNT_CHUNK counts. An I/Q capture instead gives each play
+    law of pulse_count_pmf through doubled tables: table i is the law of
+    the summed count of 2**i plays, table 0 the per-play law and table
+    i + 1 table i convolved with itself, each built on first need and kept
+    as (least sum, cdf), less the counts at either end of its support that
+    hold at most _TABLE_TAIL of mass. A row adds one inverse-transform draw per set bit
+    i of n, in ascending order, up to the deepest level whose whole support
+    spans at most _COUNT_CHUNK counts (level 10 for the default law);
+    plays beyond it, n rounded down to a multiple of twice that level's
+    plays, add one multinomial row of counts, drawn in chunks of at most
+    _COUNT_CHUNK counts. An I/Q capture instead gives each play
     the energy of a uniformly drawn window. The instance's Gaussian family
     carries the energy variance N * noise_var**2 of an idle play for the RE
     threshold; no pull draws from it.
@@ -481,7 +509,13 @@ class RadarEnv(BanditEnv):
             active_mean = float(self._windows.mean())
         else:
             active_mean = N * nv + mean_signal_energy(scenario)
-            self._counts = pulse_count_pmf(scenario)
+            self._counts = support, pmf = pulse_count_pmf(scenario)
+            first, cdf = _trimmed_cdf(pmf)
+            self._tables = [(int(support[first]), cdf)]
+            # the deepest level whose support of (len(pmf) - 1) * 2**level + 1
+            # counts fits in _COUNT_CHUNK; -1 when not even the per-play law does
+            span = max(len(pmf) - 1, 1)
+            self._top_level = ((_COUNT_CHUNK - 1) // span).bit_length() - 1
         means = [N * nv] * scenario.K
         means[scenario.active_channel - 1] = active_mean
         super().__init__(
@@ -496,15 +530,39 @@ class RadarEnv(BanditEnv):
             return _row_sums(
                 rows, n, lambda k: windows[rng.integers(0, len(windows), size=k)]
             )
-        support, pmf = self._counts
-        signal = np.empty(rows)
-        step = max(1, _COUNT_CHUNK // len(pmf))
-        for a in range(0, rows, step):
-            b = min(rows, a + step)
-            signal[a:b] = rng.multinomial(n, pmf, size=b - a) @ support
+        n = int(n)
+        reach = self._top_level + 1
+        signal, least = np.zeros(rows), 0
+        for i in range(min(n.bit_length(), reach)):
+            if n >> i & 1:
+                lo, cdf = self._count_table(i)
+                signal += np.searchsorted(cdf, rng.random(rows), side="right")
+                least += lo
+        signal += least
+        high = n >> reach << reach
+        if high:
+            support, pmf = self._counts
+            step = max(1, _COUNT_CHUNK // len(pmf))
+            for a in range(0, rows, step):
+                b = min(rows, a + step)
+                signal[a:b] += rng.multinomial(high, pmf, size=b - a) @ support
         if nv == 0.0:
             return signal
         return (nv / 2.0) * rng.noncentral_chisquare(2 * N * n, 2.0 * signal / nv)
+
+    def _count_table(self, i: int) -> tuple[int, np.ndarray]:
+        """(least sum, cdf) of the summed on-pulse count of 2**i plays,
+        squaring the deepest table built so far by FFT until level i."""
+        tables = self._tables
+        while len(tables) <= i:
+            lo, cdf = tables[-1]
+            pmf = np.diff(cdf, prepend=0.0)
+            size = 2 * len(pmf) - 1
+            nfft = 1 << (size - 1).bit_length()
+            pmf = np.fft.irfft(np.fft.rfft(pmf, nfft) ** 2, nfft)[:size]
+            first, cdf = _trimmed_cdf(pmf)
+            tables.append((2 * lo + first, cdf))
+        return tables[i]
 
     def pull_arm_sum(self, arm: int, n: int, rng) -> float:
         """Energy of n plays of one channel."""

@@ -456,9 +456,10 @@ def run_re(
     sigma2 = env.sigma2
     shifted = separable & (pi0 != pi1)
     if sigma2 is not None and shifted.any():
-        # A group mean over n plays has variance sigma2 / (g_k n); the
-        # threshold reads K_padded/2 members, so sigma2 is rescaled to match.
-        sigma2_k = sigma2 * (Kp / 2) / g
+        # A group mean over n plays has variance _group_var / n; the
+        # threshold reads K_padded/2 members, so the variance is rescaled
+        # to match.
+        sigma2_k = env._group_var * (Kp / 2)
         tau[shifted] = lrt_threshold_gaussian(
             *(a[shifted] for a in (mu_H_star, mu_L_star, pi0, pi1)),
             Kp, T, opts.alpha, sigma2_k[shifted.nonzero()[1]],

@@ -2,8 +2,9 @@
 
 Single draws and per-sample simulations that the package replaced with
 sufficient-statistic draws, the per-play radar pulse counter that the
-exact count law replaced, the explicit density-ratio form of RE's group
-test, and the per-trial policies that the batched ones replaced: each is
+exact count law replaced, the radar count-table draw written out, the
+explicit density-ratio form of RE's group test, and the per-trial
+policies that the batched ones replaced: each is
 the plain definition of a law or an algorithm, kept here so the tests can
 compare the fast paths with it. The Gaussian tail bounds and the instance
 writer serve the same tests.
@@ -239,6 +240,19 @@ def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
             total += hi
         counts[cols] = total
     return counts
+
+
+def table_count_sums(env, rows: int, n: int, rng) -> np.ndarray:
+    """A radar pull's summed on-pulse counts of n plays within the reach
+    of its count tables (n < 2**(top level + 1)), written out: for each
+    set bit i of n in ascending order, the least sum of table i plus one
+    uniform per row inverted through its cdf."""
+    out = np.zeros(rows)
+    for i in range(n.bit_length()):
+        if n >> i & 1:
+            lo, cdf = env._count_table(i)
+            out += lo + np.searchsorted(cdf, rng.random(rows), side="right")
+    return out
 
 
 def radar_synthesize(

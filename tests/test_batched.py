@@ -329,14 +329,51 @@ def test_padded_re_threshold_is_each_groups_bayes_threshold():
     assert run.diagnostics["mu_H_star"] == pytest.approx(mu1 - 5 / 6 * prof.delta_max)
 
 
-class MultinomialLog:
-    """A generator that records the (n, size) of each multinomial draw."""
+def test_padded_re_threshold_on_the_jammer_is_each_groups_bayes_threshold():
+    # K = 12 pads to 16 arms: the groups hold 6, 6, 4 and 4 real members.
+    # A jammer group play keeps the receiver's noise_var whatever its size,
+    # so a group mean over n plays has variance noise_var / n. The jammer's
+    # gaps are all 1, so oracle endpoints give equal priors; plug-in
+    # endpoints from a first phase give pi0 != pi1.
+    K, T, alpha, nv, trials = 12, 480, 0.2, 0.001, 64
+    env = JammerEnv(JammerScenario(K=K, j_star=5, noise_var=nv))
+    opts = ReOptions(alpha=alpha, prior_mode="plugin")
+    run = run_policy("RE", env, T, np.random.default_rng(0), opts, trials=trials)
+    # the first phase is RE's first draw; redraw it for each row's endpoints
+    n1 = int(alpha * T) // K
+    arms = np.tile(np.arange(1, K + 1), (trials, 1))
+    arm_hat = env.pull_arms_sum(arms, n1, np.random.default_rng(0)) / n1
+    top = np.sort(arm_hat, axis=1)
+    mu1 = top[:, -1]
+    d2, d_max = mu1 - top[:, -2], mu1 - top[:, 0]
+    mu_L = mu1 - d2
+    diag = run.diagnostics
+    np.testing.assert_array_equal(diag["mu_L_star"], mu_L)
+    assert not diag["separability_flag"].any()
+    m = construct_groups(K).m
+    for k, g in enumerate(real_group_sizes(K)):
+        mu_H = mu1 - (1 - 1 / g) * d_max
+        v = nv * m / ((1 - alpha) * T)  # variance of the group mean
+        pi0, pi1 = diag["pi0"][:, k], diag["pi1"][:, k]
+        assert (pi0 != pi1).all()
+        # where pi1 N(x; mu_H, v) = pi0 N(x; mu_L, v)
+        bayes = 0.5 * (mu_H + mu_L) + v * np.log(pi0 / pi1) / (mu_H - mu_L)
+        np.testing.assert_allclose(diag["tau"][:, k], bayes, rtol=1e-12)
+
+
+class DrawLog:
+    """A generator that records the uniform and multinomial draws made
+    through it: ("random", size) and ("multinomial", n, size)."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, []
 
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
     def multinomial(self, n, pvals, size):
-        self.calls.append((n, size))
+        self.calls.append(("multinomial", n, size))
         return self.rng.multinomial(n, pvals, size)
 
     def __getattr__(self, name):
@@ -344,28 +381,56 @@ class MultinomialLog:
 
 
 def test_radar_pull_counts_pulses_once_per_block():
-    """A block's active entries draw their summed pulse counts in one
-    multinomial call, one row per trial, whatever the play count."""
+    """A block's active entries draw their summed pulse counts once per
+    block, one entry per trial in each draw, whatever the play count: one
+    uniform array per set bit of n below the tables' reach, then one
+    multinomial row per trial for the plays beyond it."""
     env = RadarEnv(RadarScenario(active_channel=3))
-    rng = MultinomialLog(np.random.default_rng(0))
     arms = np.tile(np.arange(1, 9), (64, 1))
-    assert env.pull_arms_sum(arms, 100, rng).shape == (64, 8)
-    group = oracles.pull_group_sum(env, np.array([3, 4, 7, 8]), 100, rng, 64)
-    assert group.shape == (64,)
-    assert rng.calls == [(100, 64), (100, 64)]
+    # 100 sets bits 2, 5 and 6; the tables reach 2**11 plays
+    for n, beyond in ((100, []), (3 * 2**11 + 100, [("multinomial", 3 * 2**11, 64)])):
+        rng = DrawLog(np.random.default_rng(0))
+        assert env.pull_arms_sum(arms, n, rng).shape == (64, 8)
+        group = oracles.pull_group_sum(env, np.array([3, 4, 7, 8]), n, rng, 64)
+        assert group.shape == (64,)
+        pull = [("random", 64)] * 3 + beyond
+        assert rng.calls == pull + pull
 
 
 def test_radar_pulse_count_chunks_are_one_multinomial_draw():
+    """Plays beyond the tables' reach are drawn in chunks of rows that
+    together make the draws of one multinomial over all rows."""
     env = RadarEnv(RadarScenario(noise_var=0.0))  # the pull returns S itself
     rows = block_trials(env._group_width)  # the rows of an RE block
     assert rows == 21_845
     support, pmf = env._counts
     assert rows * len(pmf) > 4 * casestudies._COUNT_CHUNK  # several chunks
+    assert env._top_level == 10
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    got = env._active_sums(rows, 400, a)
-    want = b.multinomial(400, pmf, size=rows) @ support
+    got = env._active_sums(rows, 3 * 2**11 + 400, a)
+    want = oracles.table_count_sums(env, rows, 400, b)
+    want += b.multinomial(3 * 2**11, pmf, size=rows) @ support
     np.testing.assert_array_equal(got, want)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_radar_count_tables_stay_bounded_at_the_largest_budget():
+    """A pull of 2**32 - 1 plays builds every table the law allows and
+    keeps them within 2 * _COUNT_CHUNK floats, whatever the budget."""
+    env = RadarEnv(RadarScenario(noise_var=0.0))
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sums = env._active_sums(4, 2**32 - 1, rng)
+        del sums
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(env._tables) == env._top_level + 1 == 11
+    floats = sum(len(cdf) for lo, cdf in env._tables)
+    assert floats <= 2 * casestudies._COUNT_CHUNK
+    assert kept < 8 * 2 * casestudies._COUNT_CHUNK, f"{kept / 1024:.0f} KiB"
 
 
 def test_radar_active_pull_memory_is_bounded():

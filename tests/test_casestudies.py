@@ -1,10 +1,13 @@
 """Case studies: jammer waveform selection and radar channel detection."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import fftconvolve
 
 from bestarm import (
     CsvFormatError,
@@ -16,6 +19,7 @@ from bestarm import (
     run_jammer_experiment,
     run_radar_experiment,
 )
+import bestarm.casestudies as casestudies
 from bestarm.casestudies import (
     DEFAULT_RADAR_NOISE_VAR,
     JammerEnv,
@@ -38,7 +42,11 @@ from oracles import (
     radar_energy,
     radar_synthesize,
     signal_sample_counts,
+    table_count_sums,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from checks import implausible  # noqa: E402
 
 
 def rng(seed=0):
@@ -419,19 +427,19 @@ def test_radar_group_pull_matches_member_sums(members, pulse_count_moments):
     assert_same_law(got, want, mean, var)
 
 
-def rebuild_radar_arm_sums(sc, arms, n, r):
+def rebuild_radar_arm_sums(env, arms, n, r):
     """A radar arm pull's draws written out: one chi2(2Nn) per idle entry
-    in row-major order, then for the active entries their multinomial
-    count rows and noncentral chi-squares. A set with no entries draws
-    nothing."""
+    in row-major order, then for the active entries their summed pulse
+    counts drawn through the count tables (table_count_sums) and their
+    noncentral chi-squares. A set with no entries draws nothing."""
+    sc = env.scenario
     N, nv = sc.N, sc.noise_var
-    support, pmf = pulse_count_pmf(sc)
     active = arms == sc.active_channel
     out = np.zeros(arms.shape)
     if (~active).any():
         out[~active] = (nv / 2.0) * r.chisquare(2 * N * n, size=(~active).sum())
     if active.any():
-        counts = r.multinomial(n, pmf, size=active.sum()) @ support
+        counts = table_count_sums(env, active.sum(), n, r)
         out[active] = (nv / 2.0) * r.noncentral_chisquare(2 * N * n, 2.0 * counts / nv)
     return out
 
@@ -451,7 +459,7 @@ def test_radar_arm_pull_draws_idle_entries_then_active_ones(arms):
     arms = np.asarray(arms)
     got_rng, want_rng = rng(21), rng(21)
     got = env.pull_arms_sum(arms, 5, got_rng)
-    want = rebuild_radar_arm_sums(sc, arms, 5, want_rng)
+    want = rebuild_radar_arm_sums(env, arms, 5, want_rng)
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -476,8 +484,6 @@ def test_mean_signal_energy_default_scenario():
 
 
 def test_mean_signal_energy_runs_once_per_pulse_law():
-    import bestarm.casestudies as casestudies
-
     casestudies._pulse_count_law.cache_clear()
     for scenario in (
         RadarScenario(),
@@ -563,8 +569,6 @@ def test_pulse_count_pmf_is_a_law(k):
 def test_pulse_count_pmf_is_exact_between_breakpoints(k, monkeypatch):
     """The law is quadratic in pri between breakpoints, so splitting every
     interval in three moves no probability beyond rounding."""
-    import bestarm.casestudies as casestudies
-
     sc = LAW_SCENARIOS[k]
     want = full_pmf(sc)
     real = casestudies._pri_breakpoints
@@ -612,6 +616,84 @@ def test_pulse_count_pmf_fits_per_play_counts_default_law():
 def test_pulse_count_pmf_fits_per_play_counts(k):
     sc = LAW_SCENARIOS[k]
     assert_counts_fit(signal_sample_counts(sc, 100_000, rng([26, k])), full_pmf(sc))
+
+
+def direct_count_law(pmf, n):
+    """The law of the sum of n independent draws of pmf, by binary powering
+    with scipy's fftconvolve, negative rounding clipped."""
+    law, power = np.ones(1), np.asarray(pmf, dtype=float)
+    while n:
+        if n & 1:
+            law = np.maximum(fftconvolve(law, power), 0.0)
+        n >>= 1
+        if n:
+            power = np.maximum(fftconvolve(power, power), 0.0)
+    return law / law.sum()
+
+
+def test_count_tables_match_direct_convolution():
+    """Table i is the law of the summed count of 2**i plays: levels 0-7
+    agree with np.convolve squaring to 1e-13 in cdf over the counts they
+    keep, the counts they drop hold at most _TABLE_TAIL of mass at either
+    end, and every cdf ends at exactly 1."""
+    env = RadarEnv(RadarScenario())
+    support, pmf = pulse_count_pmf(RadarScenario())
+    law = np.array(pmf)
+    for i in range(8):
+        lo, cdf = env._count_table(i)
+        first = lo - support[0] * 2**i
+        want = np.cumsum(law)
+        assert 0 <= first and first + len(cdf) <= len(law)
+        assert cdf[-1] == 1.0
+        assert abs(cdf[:-1] - want[first : first + len(cdf) - 1]).max() <= 1e-13, i
+        dropped = want[first - 1] if first else 0.0
+        assert dropped <= casestudies._TABLE_TAIL + 1e-13, i
+        assert want[-1] - want[first + len(cdf) - 1] <= casestudies._TABLE_TAIL + 1e-13
+        law = np.convolve(law, law)
+
+
+def test_count_tables_keep_the_moments_of_their_plays():
+    """Every table the default law allows holds 2**i times the per-play
+    mean and variance. The deepest is level 10, the last whose whole
+    support of counts fits in _COUNT_CHUNK; it keeps fewer counts."""
+    sc = RadarScenario()
+    env = RadarEnv(sc)
+    support, pmf = pulse_count_pmf(sc)
+    mu = float(support @ pmf)
+    var = float((support - mu) ** 2 @ pmf)
+    top = env._top_level
+    assert top == 10
+    assert (len(pmf) - 1) * 2**top + 1 == 58_369 <= casestudies._COUNT_CHUNK
+    assert (len(pmf) - 1) * 2 ** (top + 1) + 1 > casestudies._COUNT_CHUNK
+    for i in range(top + 1):
+        lo, cdf = env._count_table(i)
+        assert len(cdf) <= (len(pmf) - 1) * 2**i + 1
+        x, p = lo + np.arange(len(cdf)), np.diff(cdf, prepend=0.0)
+        mean = float(x @ p)
+        assert mean == pytest.approx(2**i * mu, rel=1e-10), i
+        assert float((x - mean) ** 2 @ p) == pytest.approx(2**i * var, rel=1e-10), i
+    assert len(env._tables) == top + 1
+
+
+# 3 * 2**11 + 5 plays reach past the deepest table (1024 plays), so they
+# add one multinomial draw of 3 * 2**11 plays
+@pytest.mark.parametrize("n", [1, 7, 400, 2000, 3 * 2**11 + 5])
+def test_radar_summed_counts_follow_the_convolved_law(n):
+    """Drawn sums of n plays' counts against the n-fold convolved law, at
+    thresholds across its range, by the binomial-tail rule."""
+    sc = RadarScenario(noise_var=0.0)  # the pull returns S itself
+    env = RadarEnv(sc)
+    support, pmf = pulse_count_pmf(sc)
+    rows = 20_000
+    got = env._active_sums(rows, n, rng([28, n]))
+    assert (got == np.round(got)).all()
+    assert got.min() >= n * support[0] and got.max() <= n * support[-1]
+    cdf = np.cumsum(direct_count_law(pmf, n))
+    for q in (1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        c = int(np.searchsorted(cdf, q))
+        p = min(float(cdf[c]), 1.0)
+        below = int((got <= n * support[0] + c).sum())
+        assert not implausible(below, rows, p, p), (q, below, rows, p)
 
 
 # ------------------------------------------------------------------- iq files

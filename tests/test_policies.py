@@ -530,6 +530,11 @@ class ScriptedEnv:
     def __init__(self, arm_means):
         self.arm_means = arm_means
 
+    @property
+    def _group_var(self):
+        """One group play's variance, sigma2 / g_k, as BanditEnv's table."""
+        return self.sigma2 / construct_groups(self.K).sizes
+
     def true_gap_profile(self):
         inst = BanditInstance(
             means=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5), family=Gaussian(1.0)
