@@ -21,7 +21,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import BanditInstance, Gaussian, check_arm, check_K, check_variance, is_real
+from .core import (
+    BanditInstance, Gaussian, block_trials, check_arm, check_K, check_variance, is_real
+)
 from .errors import CsvFormatError, SupportViolation
 from .experiments import run_cells
 from .policies import BanditEnv, ReOptions
@@ -43,8 +45,7 @@ _SIGNAL_DRAWS = 200_000
 # and faulted in afresh for each chunk.
 _LAW_CHUNK = 1 << 13
 # Counts that the support of the deepest summed pulse-count table a radar
-# environment builds may span, and counts per multinomial chunk for plays
-# beyond the tables.
+# environment builds may span.
 _COUNT_CHUNK = 1 << 16
 # Mass a summed pulse-count table may drop at either end of its support:
 # half the 2**-53 step between the uniforms of rng.random(), so up to
@@ -229,9 +230,8 @@ def _width_integral(y, lo: float, hi: float):
 
 
 def _width_survival(x, lo: float, hi: float):
-    """P(t > x), for t uniform on [lo, hi]."""
-    if hi == lo:
-        return (x < lo).astype(float)
+    """P(t > x), for t uniform on [lo, hi] with lo < hi: a point width with
+    a point delay leaves _count_survival no partial terms to evaluate."""
     return np.clip((hi - x) / (hi - lo), 0.0, 1.0)
 
 
@@ -484,8 +484,8 @@ class RadarEnv(BanditEnv):
     i of n, in ascending order, up to the deepest level whose whole support
     spans at most _COUNT_CHUNK counts (level 10 for the default law);
     plays beyond it, n rounded down to a multiple of twice that level's
-    plays, add one multinomial row of counts, drawn in chunks of at most
-    _COUNT_CHUNK counts. An I/Q capture instead gives each play
+    plays, add one multinomial row of counts, drawn in chunks of
+    block_trials(len(pmf)) rows. An I/Q capture instead gives each play
     the energy of a uniformly drawn window. The instance's Gaussian family
     carries the energy variance N * noise_var**2 of an idle play for the RE
     threshold; no pull draws from it.
@@ -542,7 +542,7 @@ class RadarEnv(BanditEnv):
         high = n >> reach << reach
         if high:
             support, pmf = self._counts
-            step = max(1, _COUNT_CHUNK // len(pmf))
+            step = block_trials(len(pmf))
             for a in range(0, rows, step):
                 b = min(rows, a + step)
                 signal[a:b] += rng.multinomial(high, pmf, size=b - a) @ support

@@ -164,9 +164,9 @@ class RngStream:
 
     Streams with equal fields produce bit-identical draws. A sweep gives
     each block of trials its own stream, keyed by the block's first trial
-    (see experiments.run_cells, which sizes blocks by the row a trial
-    holds), so a block's draws depend only on its seed, its stream id and
-    its size, not on the blocks run before it.
+    (see experiments.run_cells, which sizes blocks by block_trials), so a
+    block's draws depend only on its seed, its stream id and its size, not
+    on the blocks run before it.
     """
 
     master_seed: int
@@ -174,6 +174,13 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.master_seed, self.stream_id])
+
+
+def block_trials(width: int) -> int:
+    """Rows per working array when one row holds `width` floats: the most
+    with B * width <= 2**16, and at least one. It sizes sweep blocks, the
+    member draws of group plays and radar's multinomial chunks."""
+    return max(1, 2**16 // width)
 
 
 def _one_row(a: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .core import (
     Family,
     Gaussian,
     RngStream,
+    block_trials,
     gap_profile,
 )
 from .errors import BestArmError, ConfigParse, SupportViolation
@@ -39,6 +40,7 @@ from .hardness import (
     bound_ue,
     hardness,
 )
+from .grouping import construct_groups
 from .policies import BanditEnv, ReOptions, run_policy
 
 # Most points parse_grid returns, and most histogram bins of
@@ -179,12 +181,6 @@ def check_budgets(budgets) -> None:
         )
 
 
-def block_trials(width: int) -> int:
-    """Trials per block when one trial holds a row of `width` floats: the
-    most with B * width <= 2**16, and at least one."""
-    return max(1, 2**16 // width)
-
-
 def run_cells(
     env: BanditEnv,
     algorithms,
@@ -207,14 +203,13 @@ def run_cells(
 
     A cell runs its trials in blocks of B = block_trials(width) trials,
     the last block holding the remainder, with one run_policy call per
-    block. The width is the row one trial holds: the environment's
-    `_group_width` for RE with alpha = 0, which keeps only group
-    statistics (m for a Gaussian law), and K for every other run. The
-    block whose first trial is j0 draws from
-    RngStream(master_seed, c * trials + j0) for the c-th cell. Output thus
-    depends on the seed, the trial count, the environment's law and K, not
-    on how the sweep is scheduled. A policy error, such as BudgetTooSmall,
-    leaves its cell absent with the error code as `failure`.
+    block. The width is the row one trial holds: m group sums for RE with
+    alpha = 0, whatever the law (a wider group draw chunks its own rows),
+    and K arm sums for every other run. The block whose first trial is j0
+    draws from RngStream(master_seed, c * trials + j0) for the c-th cell.
+    Output thus depends on the seed, the trial count, the environment's law
+    and K, not on how the sweep is scheduled. A policy error, such as
+    BudgetTooSmall, leaves its cell absent with the error code as `failure`.
     """
     if trials < 1:
         raise ConfigParse(f"need trials >= 1, got {trials}")
@@ -236,7 +231,7 @@ def run_cells(
         errors, failure = 0, None
         try:
             grouped = policy == "RE" and opts.alpha == 0.0
-            block = block_trials(env._group_width if grouped else env.K)
+            block = block_trials(construct_groups(env.K).m if grouped else env.K)
             for j0 in range(0, trials, block):
                 rows = min(block, trials - j0)
                 rng = RngStream(master_seed, cell_index * trials + j0).generator()

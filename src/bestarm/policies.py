@@ -14,8 +14,8 @@ One group play costs one unit of budget (the agent probes a subset and sees
 one scalar), matching the combinatorial-pull model. ``BanditEnv`` adapts a
 ``BanditInstance`` and owns the pull contract (arm checks, n <= 0); the
 case-study environments subclass it and override only the observation law:
-its ``_arm_sums`` and ``_group_sums`` hooks, or the Gaussian group variance
-table ``_group_var``.
+the arm law ``_arm_sums``, whose member averages are the group plays, or
+a Gaussian family's ``_group_sums`` or group variance table ``_group_var``.
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ class BanditEnv:
     from 0-based int64 indices, a read-only broadcast view for such rows,
     and `_group_sums(n, rng, trials)` plays the 0-based groups
     `self._groups`, group k before group k+1; neither mutates them. A
-    custom environment subclasses BanditEnv and overrides only these
-    hooks, or for a Gaussian law whose group noise does not shrink with
-    group size, only the variance table `_group_var`.
+    custom environment overrides only `_arm_sums`, whose member averages
+    are the group plays. A Gaussian family draws group plays from their
+    sufficient statistic instead, so it also overrides `_group_sums`
+    (RadarEnv), or only `_group_var` where group noise does not shrink
+    with group size (JammerEnv).
     """
 
     def __init__(self, instance: BanditInstance):
@@ -120,18 +122,9 @@ class BanditEnv:
         mu = self.instance._mean_array
         return np.array([float(mu[idx].sum()) / len(idx) for idx in self._groups])
 
-    @cached_property
-    def _group_width(self) -> int:
-        """Floats one trial's row holds in `_group_sums`: one per group for
-        a Gaussian law, which draws each group mean at once, and the
-        largest group's members for per-member counts."""
-        if isinstance(self.instance.family, Gaussian):
-            return len(self._groups)
-        return max(len(idx) for idx in self._groups)
-
     def _arm_sums(self, idx: np.ndarray, n: int, rng) -> np.ndarray:
         """Sufficient statistics, one numpy call filled in row-major order:
-        N(n*mu, n*sigma2) for Gaussian sums, Binomial(n, mu) otherwise.
+        N(n*mu, n*sigma2) for Gaussian sums, int64 Binomial(n, mu) otherwise.
 
         The means are gathered once for a shared-row `idx` (see
         core._check_arms). A Gaussian sum is a standard normal scaled and
@@ -141,7 +134,7 @@ class BanditEnv:
         mu = self.instance._mean_array[core._one_row(idx)]
         family = self.instance.family
         if not isinstance(family, Gaussian):
-            return rng.binomial(n, mu, idx.shape).astype(float)
+            return rng.binomial(n, mu, idx.shape)
         if family.sigma2 == 0.0:
             return np.broadcast_to(n * mu, idx.shape).copy()
         sums = rng.standard_normal(idx.shape)
@@ -150,19 +143,22 @@ class BanditEnv:
         return sums
 
     def _group_sums(self, n: int, rng, trials: int) -> np.ndarray:
-        """A group play averages one draw per member: N(mean mu, _group_var)
-        for Gaussian rewards, all groups from one standard normal array
-        scaled and shifted in place; per-member Binomial counts otherwise,
-        group by group."""
+        """A group play averages one draw per member. A Gaussian law draws
+        N(mean mu, _group_var) for all groups from one standard normal
+        array, scaled and shifted in place; any other averages each group's
+        `_arm_sums` on a broadcast row of its members, in chunks of
+        block_trials(g_k) rows that draw as one (trials, g_k) pull."""
         if isinstance(self.instance.family, Gaussian):
             sums = rng.standard_normal((len(self._groups), trials))
             sums *= np.sqrt(n * self._group_var)[:, None]
             sums += (n * self._group_mean)[:, None]
             return sums.T
-        mu = self.instance._mean_array
         out = np.empty((trials, len(self._groups)))
-        for k, idx in enumerate(self._groups):  # per-member counts over n pulls
-            out[:, k] = rng.binomial(n, mu[idx], (trials, len(idx))).sum(1) / len(idx)
+        for k, idx in enumerate(self._groups):
+            step = core.block_trials(len(idx))
+            for a in range(0, trials, step):
+                rows = np.broadcast_to(idx, (min(step, trials - a), len(idx)))
+                out[a : a + step, k] = self._arm_sums(rows, n, rng).sum(1) / len(idx)
         return out
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import binom
 
 import oracles
 from oracles import _COUNT_BLOCK, signal_sample_counts
@@ -34,8 +35,8 @@ from bestarm.casestudies import (
     RadarScenario,
     _row_sums,
 )
-from bestarm.core import MAX_K, RngStream
-from bestarm.experiments import block_trials, group_mean_distribution, run_cells
+from bestarm.core import MAX_K, RngStream, block_trials
+from bestarm.experiments import group_mean_distribution, run_cells
 from bestarm.grouping import construct_groups
 from bestarm.policies import run_policy
 
@@ -162,7 +163,7 @@ def test_run_cells_draws_one_stream_per_block():
     # rows of m = 2 group sums, so their blocks differ in size.
     env = BanditEnv(BanditInstance(means=(1.0, 0.8, 0.8, 0.8), family=Gaussian(1.0)))
     B_arm, B_re = block_trials(4), block_trials(2)
-    assert env._group_width == 2 and (B_arm, B_re) == (2**14, 2**15)
+    assert construct_groups(4).m == 2 and (B_arm, B_re) == (2**14, 2**15)
     trials, seed = B_re + 5, 3
     blocks = {
         "UE": ((0, B_arm), (B_arm, B_arm), (2 * B_arm, 5)),
@@ -188,26 +189,23 @@ def test_block_size_bounds_the_block_arrays():
         assert block_trials(width) * width <= max(width, 2**16)
 
 
-@pytest.mark.parametrize("K", [2, 5, 12, 16, 1024])
-def test_group_width_follows_the_group_law(K):
-    code = construct_groups(K)
-    gaussian = BanditEnv(BanditInstance(means=(1.0,) + (0.5,) * (K - 1), family=Gaussian(0.1)))
-    bernoulli = BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=Bernoulli()))
-    jammer = JammerEnv(JammerScenario(K=K, j_star=1, noise_var=0.1))
-    radar = RadarEnv(RadarScenario(K=K, noise_var=2.0))
-    assert gaussian._group_width == jammer._group_width == code.m
-    assert radar._group_width == code.m
-    assert bernoulli._group_width == max(real_group_sizes(K))
+def law_env(law, K):
+    """An environment of K arms under a reward family (arm 1 best), or a
+    case study's, with its class given."""
+    if law is JammerEnv:
+        return JammerEnv(JammerScenario(K=K, j_star=1, noise_var=0.1))
+    if law is RadarEnv:
+        return RadarEnv(RadarScenario(K=K, noise_var=2.0))
+    return BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=law))
 
 
-@pytest.mark.parametrize("family", [Gaussian(0.1), Bernoulli()])
+@pytest.mark.parametrize("family", [Gaussian(0.1), Bernoulli(), JammerEnv, RadarEnv])
 def test_run_cells_sizes_blocks_by_the_row_width(family, monkeypatch):
     # UE, SR, SH and RE with a first phase hold K arm statistics a trial;
-    # RE with alpha = 0 holds only the row of its group law.
+    # RE with alpha = 0 holds m group sums whatever the law, since a
+    # group draw wider than its row chunks its own rows.
     import bestarm.experiments as experiments
 
-    K = 2048
-    env = BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=family))
     calls = []
 
     def record(policy, env, T, rng, opts, rows):
@@ -215,30 +213,42 @@ def test_run_cells_sizes_blocks_by_the_row_width(family, monkeypatch):
         raise BudgetTooSmall("recorded")
 
     monkeypatch.setattr(experiments, "run_policy", record)
-    options = {"RE-1": ReOptions(alpha=0.5)}
-    run_cells(env, ("UE", "SR", "SH", "RE", "RE-1"), (K,), 10**6, 0, "w", options)
-    narrow = 11 if isinstance(family, Gaussian) else 1024
-    assert calls == [
-        ("UE", 0.0, 32), ("SR", 0.0, 32), ("SH", 0.0, 32),
-        ("RE", 0.0, block_trials(narrow)), ("RE", 0.5, 32),
-    ]
+    algorithms, options = ("UE", "SR", "SH", "RE", "RE-1"), {"RE-1": ReOptions(alpha=0.5)}
+    for K in (2, 5, 12, 16, 1024, 2048):
+        calls.clear()
+        run_cells(law_env(family, K), algorithms, (4 * K,), 10**6, 0, "w", options)
+        wide, narrow = block_trials(K), block_trials(construct_groups(K).m)
+        assert calls == [
+            ("UE", 0.0, wide), ("SR", 0.0, wide), ("SH", 0.0, wide),
+            ("RE", 0.0, narrow), ("RE", 0.5, wide),
+        ]
+    assert (wide, narrow) == (32, block_trials(11))
 
 
 def test_bernoulli_re_block_memory_is_bounded():
-    """A Bernoulli RE block at K = 1024 draws (B, 512) member counts per
-    group: B * 512 <= 2**16, so the block holds about 512 KiB."""
+    """An RE block with alpha = 0 at K = 1024 runs B = block_trials(m = 10)
+    = 6553 trials, so each (B, m) array holds at most 2**16 floats. Its
+    run keeps five of them (pi0, pi1, tau, delta and phase2_mean), and
+    run_cells still holds one block's run while the next is built: ten
+    such arrays, plus room for two more of temporaries and (B,) vectors.
+    A Bernoulli group draw chunks its (rows, 512) member counts to the
+    same 2**16 floats, so one bound serves the Gaussian and Bernoulli
+    laws. Bernoulli means of 0 and 1 draw their counts at once and hold
+    the same arrays."""
     K = 1024
-    env = BanditEnv(BanditInstance(means=(0.9,) + (0.4,) * (K - 1), family=Bernoulli()))
-    B = block_trials(env._group_width)
-    assert B == 128
-    run_cells(env, ("RE",), (1536,), 4, 0, "warm-up")
-    tracemalloc.start()
-    try:
-        run_cells(env, ("RE",), (1536,), 3 * B, 0, "memory")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 8 * 2**16, f"peak {peak / 1024:.0f} KiB"
+    B = block_trials(construct_groups(K).m)
+    assert B == 6553
+    for family in (Gaussian(0.1), Bernoulli()):
+        means = (1.0,) + (0.0,) * (K - 1)
+        env = BanditEnv(BanditInstance(means=means, family=family))
+        run_cells(env, ("RE",), (1536,), 4, 0, "warm-up")
+        tracemalloc.start()
+        try:
+            run_cells(env, ("RE",), (1536,), 2 * B, 0, "memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * 2**16, f"{family}: peak {peak / 1024:.0f} KiB"
 
 
 # K, budgets: UE at n = 1, 2, 4 plays per arm; RE over the same budgets.
@@ -250,7 +260,7 @@ def test_batched_error_counts_follow_their_laws(K, budgets):
     delta, sigma2 = 0.5, 0.1
     means = (1.0,) + (1.0 - delta,) * (K - 1)
     env = BanditEnv(BanditInstance(means=means, family=Gaussian(sigma2)))
-    for algorithm, width in (("UE", K), ("RE", env._group_width)):
+    for algorithm, width in (("UE", K), ("RE", construct_groups(K).m)):
         trials = 5 * block_trials(width) // 2  # three blocks, the last one short
         for cell in run_cells(env, (algorithm,), budgets, trials, 0, "laws"):
             if algorithm == "UE":
@@ -287,6 +297,84 @@ def padded_re_error(K, best, delta, sigma2, T):
         flips = pattern ^ (best - 1)
         p_right += math.prod(q[k] if flips >> k & 1 else 1 - q[k] for k in range(m))
     return 1.0 - p_right
+
+
+def test_bernoulli_group_pull_chunks_its_member_draws():
+    """At K = 1024 every group holds 512 members, so a Bernoulli group pull
+    of 300 rows plays each group through _arm_sums in three chunks of 128,
+    128 and 44 rows: bit for bit the draws of one (300, 512) pull per
+    group, group k before group k+1."""
+    K, n, rows = 1024, 5, 300
+    mu = np.linspace(0.05, 0.95, K)
+    env = BanditEnv(BanditInstance(means=tuple(mu), family=Bernoulli()))
+    assert block_trials(512) == 128 and set(real_group_sizes(K)) == {512}
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    got = env.pull_groups_sum(n, a, rows)
+    want = np.stack(
+        [
+            b.binomial(n, mu[idx], (rows, len(idx))).sum(1) / len(idx)
+            for idx in (g - 1 for g in construct_groups(K).groups)
+        ],
+        axis=1,
+    )
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def bernoulli_re_error(K, best, hi, lo, T, tau):
+    """RE with oracle priors and alpha = 0 on a Bernoulli instance whose arm
+    `best` has mean hi and every other arm mean lo.
+
+    A play of group k averages its g_k members, so the sum over n = T // m
+    plays is g_k times the group sum, a sum of independent binomials:
+    Binomial(n, hi) + Binomial(n (g_k - 1), lo) with the best arm, and
+    Binomial(n g_k, lo) without. Bit k is 1 where (S / g_k) / n > tau_k,
+    in the float operations of the pull and of RE, which are monotone in S:
+    bit k is 0 exactly up to a cut. The bits are independent; every pattern
+    of them is weighed, and a decode past K falls back to arm - K.
+    """
+    code = construct_groups(K)
+    n = T // code.m
+    q = []
+    for k, members in enumerate(code.groups):
+        g = len(members)
+        s = np.arange(n * g + 1)
+        cut = np.count_nonzero((s / g) / n <= tau[k]) - 1  # bit 0 for S <= cut
+        if best in members:  # P(S <= cut): the bit wrongly reads 0
+            j = np.arange(n + 1)
+            low = binom.pmf(j, n, hi) @ binom.cdf(cut - j, n * (g - 1), lo)
+            q.append(float(low))
+        else:  # P(S > cut): the bit wrongly reads 1
+            q.append(float(binom.sf(cut, n * g, lo)))
+    p_right = 0.0
+    for pattern in range(code.K_padded):
+        arm = pattern + 1
+        if (arm if arm <= K else arm - K) != best:
+            continue
+        flips = pattern ^ (best - 1)
+        p_right += math.prod(
+            q[k] if flips >> k & 1 else 1 - q[k] for k in range(code.m)
+        )
+    return 1.0 - p_right
+
+
+# K, T and trials: each cell holds more trials than 2**16 // g_max, so
+# its blocks hold more rows than one chunk of member draws
+BERNOULLI_LAW_CASES = [(12, 240, 12_000), (256, 8192, 2000), (1024, 40_960, 1000)]
+
+
+@pytest.mark.parametrize("K,T,trials", BERNOULLI_LAW_CASES)
+def test_bernoulli_re_error_count_follows_its_law(K, T, trials):
+    assert trials > 2**16 // max(real_group_sizes(K))
+    best, hi, lo = K // 3 + 1, 0.9, 0.4
+    means = [lo] * K
+    means[best - 1] = hi
+    env = BanditEnv(BanditInstance(means=tuple(means), family=Bernoulli()))
+    tau = run_policy("RE", env, T, np.random.default_rng(0)).diagnostics["tau"][0]
+    (cell,) = run_cells(env, ("RE",), (T,), trials, 0, "bernoulli")
+    p = bernoulli_re_error(K, best, hi, lo, T, tau)
+    assert 0.05 < p < 0.95
+    assert not implausible(cell.errors, trials, p, p), (cell.errors, trials, p)
 
 
 # K, T and the best arm; K pads to 16, 32 and 128 arms
@@ -401,10 +489,10 @@ def test_radar_pulse_count_chunks_are_one_multinomial_draw():
     """Plays beyond the tables' reach are drawn in chunks of rows that
     together make the draws of one multinomial over all rows."""
     env = RadarEnv(RadarScenario(noise_var=0.0))  # the pull returns S itself
-    rows = block_trials(env._group_width)  # the rows of an RE block
+    rows = block_trials(construct_groups(env.K).m)  # the rows of an RE block
     assert rows == 21_845
     support, pmf = env._counts
-    assert rows * len(pmf) > 4 * casestudies._COUNT_CHUNK  # several chunks
+    assert rows > 4 * block_trials(len(pmf))  # several chunks
     assert env._top_level == 10
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     got = env._active_sums(rows, 3 * 2**11 + 400, a)
@@ -435,9 +523,10 @@ def test_radar_count_tables_stay_bounded_at_the_largest_budget():
 
 def test_radar_active_pull_memory_is_bounded():
     """Beyond its output, an RE block's active pull holds a few buffers of
-    _COUNT_CHUNK counts, not one row of counts per trial."""
+    block_trials(len(pmf)) rows of counts, at most 2**16 counts each, not
+    one row of counts per trial."""
     env = RadarEnv(RadarScenario())
-    rows = block_trials(env._group_width)
+    rows = block_trials(construct_groups(env.K).m)
     rng = np.random.default_rng(0)
     env._active_sums(rows, 400, rng)  # warm-up
     tracemalloc.start()
@@ -447,7 +536,7 @@ def test_radar_active_pull_memory_is_bounded():
     finally:
         tracemalloc.stop()
     extra = peak - 8 * rows
-    assert extra < 4 * 8 * casestudies._COUNT_CHUNK, f"{extra / 1024:.0f} KiB"
+    assert extra < 4 * 8 * 2**16, f"{extra / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize("rows,n", [(1, 1), (3, 5), (7, 60_000), (2, 450_001)])

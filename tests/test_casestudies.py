@@ -523,6 +523,19 @@ def law_scenario(r):
 
 LAW_SCENARIOS = [RadarScenario()] + [
     law_scenario(np.random.default_rng([31, k])) for k in range(24)
+] + [
+    # a point width with a point delay, which the drawn laws never pair
+    RadarScenario(width_range=(12.3e-6, 12.3e-6), delay_range=(3.17e-6, 3.17e-6)),
+    # every range a point, as in test_pulse_edges_on_sample_instants: all
+    # the mass sits at 8 on-pulse samples
+    RadarScenario(
+        fs=1e6,
+        dwell_T=30e-6,
+        n_pulses_range=(3, 3),
+        width_range=(4e-6, 4e-6),
+        pri_range=(15e-6, 15e-6),
+        delay_range=(0.0, 0.0),
+    ),
 ]
 
 
@@ -541,6 +554,9 @@ def test_pulse_law_grid_covers_its_cases():
     cases = {
         "point width": any(point(sc.width_range) for sc in laws),
         "point delay": any(point(sc.delay_range) for sc in laws),
+        "point width and point delay": any(
+            point(sc.width_range) and point(sc.delay_range) for sc in laws
+        ),
         "point pri": any(point(sc.pri_range) for sc in laws),
         "fewer pulses than slots": any(
             sc.n_pulses_range[0] < _slots_that_can_start(sc) for sc in laws

@@ -5,7 +5,8 @@ The Gaussian and Bernoulli BanditEnv cases of the out-of-range check live
 in test_reference_oracles.py; here it runs on the case studies, and the
 integer-dtype and zero-play checks run on all four environments. The block
 pull of every binary group is checked against one-group pulls through the
-law hook on every reward law, and a custom law hook is run by RE."""
+law hook on every reward law, a custom group law hook is run by RE, and a
+custom arm law hook alone gives the group plays."""
 
 import numpy as np
 import pytest
@@ -207,6 +208,33 @@ def test_re_runs_a_custom_group_hook_over_the_env_groups(K):
     for groups in env.seen:
         assert len(groups) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(groups, want))
+
+
+class ArmHookEnv(BanditEnv):
+    """A bounded-family environment whose only override is the arm law
+    hook: n plays of arm a sum to exactly n * a. The shapes it was asked
+    for are recorded."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.shapes = []
+
+    def _arm_sums(self, idx, n, rng):
+        self.shapes.append(idx.shape)
+        return n * (idx + 1.0)
+
+
+@pytest.mark.parametrize("K", [2, 12, 1024])
+def test_group_plays_average_a_custom_arm_hook(K):
+    means = (0.2,) * (K - 1) + (0.9,)
+    env = ArmHookEnv(BanditInstance(means=means, family=BoundedUnit()))
+    got = env.pull_groups_sum(3, np.random.default_rng(0), 300)
+    groups = construct_groups(K).groups
+    want = [3.0 * members.sum() / len(members) for members in groups]
+    np.testing.assert_allclose(got, np.tile(want, (300, 1)), rtol=1e-15)
+    # group k before group k+1, each in chunks of at most 2**16 members
+    chunks = [(r, len(g)) for g in groups for r in (128, 128, 44)]
+    assert env.shapes == (chunks if K == 1024 else [(300, len(g)) for g in groups])
 
 
 @pytest.mark.parametrize("K", [2, 5, 16])
