@@ -416,12 +416,15 @@ def load_iq_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if len(row) < 3:
                 raise CsvFormatError(f"row {reader.line_num} has {len(row)} columns")
             try:
-                i_vals.append(float(row[1]))
-                q_vals.append(float(row[2]))
+                i, q = float(row[1]), float(row[2])
             except ValueError as exc:
                 raise CsvFormatError(
                     f"non-numeric sample at row {reader.line_num}"
                 ) from exc
+            if not (math.isfinite(i) and math.isfinite(q)):
+                raise CsvFormatError(f"non-finite sample at row {reader.line_num}")
+            i_vals.append(i)
+            q_vals.append(q)
     if not i_vals:
         raise CsvFormatError(f"no samples in {path}")
     return np.asarray(i_vals), np.asarray(q_vals)
@@ -478,23 +481,28 @@ class RadarEnv(BanditEnv):
     chi2(2Nn * idle members) draw. S is drawn from the exact per-play count
     law of pulse_count_pmf through doubled tables: table i is the law of
     the summed count of 2**i plays, table 0 the per-play law and table
-    i + 1 table i convolved with itself, each built on first need and kept
-    as (least sum, cdf), less the counts at either end of its support that
-    hold at most _TABLE_TAIL of mass. A row adds one inverse-transform draw per set bit
-    i of n, in ascending order, up to the deepest level whose whole support
-    spans at most _COUNT_CHUNK counts (level 10 for the default law);
-    plays beyond it, n rounded down to a multiple of twice that level's
-    plays, add one multinomial row of counts, drawn in chunks of
-    block_trials(len(pmf)) rows. An I/Q capture instead gives each play
-    the energy of a uniformly drawn window. The instance's Gaussian family
-    carries the energy variance N * noise_var**2 of an idle play for the RE
-    threshold; no pull draws from it.
+    i + 1 table i convolved with itself, each kept as (least sum, cdf),
+    less the counts at either end of its support that hold at most
+    _TABLE_TAIL of mass. All are built with the environment, up to the
+    deepest level whose whole support spans at most _COUNT_CHUNK counts
+    (level 10 for the default law). A row adds one inverse-transform draw
+    per set bit i of n, in ascending order, up to that level; plays beyond
+    it, n rounded down to a multiple of twice that level's plays, add one
+    multinomial row of counts, drawn in chunks of block_trials(len(pmf))
+    rows. An I/Q capture instead gives each play the energy of a uniformly
+    drawn window. The instance's Gaussian family carries the energy
+    variance N * noise_var**2 of an idle play for the RE threshold; no pull
+    draws from it.
     """
 
     def __init__(self, scenario: RadarScenario, iq: tuple | None = None):
         self.scenario = scenario
         N = scenario.N
         nv = scenario.noise_var
+        if not math.isfinite(N * nv * nv):
+            raise SupportViolation(
+                f"noise_var {nv:g} overflows the idle play variance N * noise_var**2"
+            )
         self._windows = None
         if iq is not None:
             i_arr, q_arr = iq
@@ -502,20 +510,34 @@ class RadarEnv(BanditEnv):
                 raise CsvFormatError(
                     f"need at least N = {N} samples, got {len(i_arr)}"
                 )
-            energy = np.asarray(i_arr) ** 2 + np.asarray(q_arr) ** 2
-            prefix = np.concatenate([[0.0], np.cumsum(energy)])
-            # the energy of the N-sample window at each offset of the capture
-            self._windows = prefix[N:] - prefix[:-N]
-            active_mean = float(self._windows.mean())
+            with np.errstate(over="ignore", invalid="ignore"):
+                energy = np.asarray(i_arr) ** 2 + np.asarray(q_arr) ** 2
+                prefix = np.concatenate([[0.0], np.cumsum(energy)])
+                # the energy of the N-sample window at each offset of the capture
+                self._windows = prefix[N:] - prefix[:-N]
+                active_mean = float(self._windows.mean())
+            # nan or inf when a window is, or when their sum overflows
+            if not math.isfinite(active_mean):
+                raise CsvFormatError(
+                    f"the capture's {N}-sample window energies overflow"
+                )
         else:
             active_mean = N * nv + mean_signal_energy(scenario)
             self._counts = support, pmf = pulse_count_pmf(scenario)
-            first, cdf = _trimmed_cdf(pmf)
-            self._tables = [(int(support[first]), cdf)]
-            # the deepest level whose support of (len(pmf) - 1) * 2**level + 1
-            # counts fits in _COUNT_CHUNK; -1 when not even the per-play law does
-            span = max(len(pmf) - 1, 1)
-            self._top_level = ((_COUNT_CHUNK - 1) // span).bit_length() - 1
+            # the levels i whose support of (len(pmf) - 1) * 2**i + 1 counts fits
+            # in _COUNT_CHUNK, none when not even the per-play law does
+            levels = ((_COUNT_CHUNK - 1) // max(len(pmf) - 1, 1)).bit_length()
+            self._tables, lo = [], int(support[0])
+            for i in range(levels):
+                if i:
+                    pmf = np.diff(cdf, prepend=0.0)
+                    size = 2 * len(pmf) - 1
+                    nfft = 1 << (size - 1).bit_length()
+                    pmf = np.fft.irfft(np.fft.rfft(pmf, nfft) ** 2, nfft)[:size]
+                    lo *= 2
+                first, cdf = _trimmed_cdf(pmf)
+                lo += first
+                self._tables.append((lo, cdf))
         means = [N * nv] * scenario.K
         means[scenario.active_channel - 1] = active_mean
         super().__init__(
@@ -531,14 +553,11 @@ class RadarEnv(BanditEnv):
                 rows, n, lambda k: windows[rng.integers(0, len(windows), size=k)]
             )
         n = int(n)
-        reach = self._top_level + 1
-        signal, least = np.zeros(rows), 0
-        for i in range(min(n.bit_length(), reach)):
+        signal = np.zeros(rows)
+        for i, (lo, cdf) in enumerate(self._tables[: n.bit_length()]):
             if n >> i & 1:
-                lo, cdf = self._count_table(i)
-                signal += np.searchsorted(cdf, rng.random(rows), side="right")
-                least += lo
-        signal += least
+                signal += np.searchsorted(cdf, rng.random(rows), side="right") + lo
+        reach = len(self._tables)
         high = n >> reach << reach
         if high:
             support, pmf = self._counts
@@ -549,20 +568,6 @@ class RadarEnv(BanditEnv):
         if nv == 0.0:
             return signal
         return (nv / 2.0) * rng.noncentral_chisquare(2 * N * n, 2.0 * signal / nv)
-
-    def _count_table(self, i: int) -> tuple[int, np.ndarray]:
-        """(least sum, cdf) of the summed on-pulse count of 2**i plays,
-        squaring the deepest table built so far by FFT until level i."""
-        tables = self._tables
-        while len(tables) <= i:
-            lo, cdf = tables[-1]
-            pmf = np.diff(cdf, prepend=0.0)
-            size = 2 * len(pmf) - 1
-            nfft = 1 << (size - 1).bit_length()
-            pmf = np.fft.irfft(np.fft.rfft(pmf, nfft) ** 2, nfft)[:size]
-            first, cdf = _trimmed_cdf(pmf)
-            tables.append((2 * lo + first, cdf))
-        return tables[i]
 
     def pull_arm_sum(self, arm: int, n: int, rng) -> float:
         """Energy of n plays of one channel."""

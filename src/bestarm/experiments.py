@@ -609,26 +609,36 @@ def group_mean_distribution(
     rng = np.random.default_rng([master_seed, K, samples])
     half = K // 2
     rows = max(1, _GAP_BLOCK // half)
-    # A uniform draw fills its array in order, so drawing all gaps_h rows
-    # and then all gaps_l rows block by block makes the same values as two
-    # (samples, ...) draws, without holding them.
-    gap_sums = []
-    for width in (half - 1, half):
-        total = np.empty(samples)
-        for a in range(0, samples, rows):
-            gaps = rng.uniform(delta_min, delta_max, size=(min(rows, samples - a), width))
-            total[a : a + rows] = gaps.sum(axis=1)
-        gap_sums.append(total)
-    mu_h = mu_star - gap_sums[0] / half
-    mu_l = mu_star - gap_sums[1] / half
+    # Gaps whose span, sums, group means or moments overflow are refused:
+    # numpy's uniform refuses the span, Python's ** the squared span, and
+    # numpy's arithmetic raises under this errstate.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # A uniform draw fills its array in order, so drawing all gaps_h
+            # rows and then all gaps_l rows block by block makes the same
+            # values as two (samples, ...) draws, without holding them.
+            gap_sums = []
+            for width in (half - 1, half):
+                total = np.empty(samples)
+                for a in range(0, samples, rows):
+                    size = (min(rows, samples - a), width)
+                    gaps = rng.uniform(delta_min, delta_max, size=size)
+                    total[a : a + rows] = gaps.sum(axis=1)
+                gap_sums.append(total)
+            mu_h = mu_star - gap_sums[0] / half
+            mu_l = mu_star - gap_sums[1] / half
+            emp_mean_h, emp_mean_l = float(mu_h.mean()), float(mu_l.mean())
+            emp_var_h = float(mu_h.var(ddof=1)) if samples > 1 else 0.0
+            emp_var_l = float(mu_l.var(ddof=1)) if samples > 1 else 0.0
+            th_var_l = (delta_max - delta_min) ** 2 / (6.0 * K)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigParse(f"the group means overflow: {exc}") from exc
     try:
         counts_h, edges_h = np.histogram(mu_h, bins=bins)
         counts_l, edges_l = np.histogram(mu_l, bins=bins)
     except ValueError as exc:  # a huge mu_star leaves no room between bin edges
         raise ConfigParse(f"cannot bin the group means: {exc}") from exc
-    spread = delta_max - delta_min
     mid = (delta_min + delta_max) / 2.0
-    th_var_l = spread**2 / (6.0 * K)
     return GroupMeanDistribution(
         K=K,
         delta_min=delta_min,
@@ -639,10 +649,10 @@ def group_mean_distribution(
         counts_H=counts_h,
         edges_L=edges_l,
         counts_L=counts_l,
-        emp_mean_H=float(mu_h.mean()),
-        emp_var_H=float(mu_h.var(ddof=1)) if samples > 1 else 0.0,
-        emp_mean_L=float(mu_l.mean()),
-        emp_var_L=float(mu_l.var(ddof=1)) if samples > 1 else 0.0,
+        emp_mean_H=emp_mean_h,
+        emp_var_H=emp_var_h,
+        emp_mean_L=emp_mean_l,
+        emp_var_L=emp_var_l,
         th_mean_H=mu_star - (1.0 - 2.0 / K) * mid,
         th_var_H=th_var_l * (1.0 - 2.0 / K),
         th_mean_L=mu_star - mid,

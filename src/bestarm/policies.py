@@ -272,13 +272,14 @@ def _run(algorithm, env, T, rec, pulls_used, diagnostics=None) -> PolicyRun:
 def run_ue(
     env: BanditEnv, T: int, rng: np.random.Generator, trials: int = 1
 ) -> PolicyRun:
-    """Uniform exploration: floor(T/K) pulls per arm, recommend best mean."""
+    """Uniform exploration: floor(T/K) pulls per arm, recommend best mean.
+    Every arm has the same pull count, so the sums rank like the means."""
     K = env.K
     if T < K:
         raise BudgetTooSmall(f"UE needs T >= K, got T={T}, K={K}")
     n = T // K
-    means = env.pull_arms_sum(_arm_rows(K, trials), n, rng) / n
-    rec = np.argmax(means, axis=1) + 1  # argmax takes the lowest index on ties
+    sums = env.pull_arms_sum(_arm_rows(K, trials), n, rng)
+    rec = np.argmax(sums, axis=1) + 1  # argmax takes the lowest index on ties
     return _run("UE", env, T, rec, n * K)
 
 
@@ -344,8 +345,9 @@ def run_sh(
     Rounds with a zero per-arm allocation keep, in each row, the arms with
     the lowest values of one uniform draw per arm: a uniformly random half,
     making the small-budget degradation explicit rather than an error.
-    Otherwise a row keeps its better half; tie rule: among equal means the
-    lower index is kept first.
+    Otherwise a row keeps its better half. Alive arms share their pull
+    count, so sums rank like means. Tie rule: among equal sums the lower
+    index is kept first.
     """
     K = env.K
     rounds = math.ceil(math.log2(K))  # ceil-halving leaves one arm after these
@@ -358,7 +360,7 @@ def run_sh(
         if n_r == 0:
             score = rng.random((trials, n_alive))
         else:
-            score = -env.pull_arms_sum(alive, n_r, rng) / n_r
+            score = -env.pull_arms_sum(alive, n_r, rng)
             pulls_used += n_r * n_alive
         alive = alive[_lowest(score, keep)].reshape(trials, keep)
     return _run("SH", env, T, alive[:, 0], pulls_used)

@@ -244,13 +244,13 @@ def signal_sample_counts(scenario: RadarScenario, n: int, rng) -> np.ndarray:
 
 def table_count_sums(env, rows: int, n: int, rng) -> np.ndarray:
     """A radar pull's summed on-pulse counts of n plays within the reach
-    of its count tables (n < 2**(top level + 1)), written out: for each
+    of its count tables (n < 2**len(env._tables)), written out: for each
     set bit i of n in ascending order, the least sum of table i plus one
     uniform per row inverted through its cdf."""
     out = np.zeros(rows)
     for i in range(n.bit_length()):
         if n >> i & 1:
-            lo, cdf = env._count_table(i)
+            lo, cdf = env._tables[i]
             out += lo + np.searchsorted(cdf, rng.random(rows), side="right")
     return out
 

@@ -493,7 +493,7 @@ def test_radar_pulse_count_chunks_are_one_multinomial_draw():
     assert rows == 21_845
     support, pmf = env._counts
     assert rows > 4 * block_trials(len(pmf))  # several chunks
-    assert env._top_level == 10
+    assert len(env._tables) == 11
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     got = env._active_sums(rows, 3 * 2**11 + 400, a)
     want = oracles.table_count_sums(env, rows, 400, b)
@@ -503,22 +503,34 @@ def test_radar_pulse_count_chunks_are_one_multinomial_draw():
 
 
 def test_radar_count_tables_stay_bounded_at_the_largest_budget():
-    """A pull of 2**32 - 1 plays builds every table the law allows and
-    keeps them within 2 * _COUNT_CHUNK floats, whatever the budget."""
-    env = RadarEnv(RadarScenario(noise_var=0.0))
-    rng = np.random.default_rng(0)
+    """The environment builds every table the law allows and keeps them
+    within 2 * _COUNT_CHUNK floats, whatever the budget of its pulls."""
+    sc = RadarScenario(noise_var=0.0)
+    casestudies.pulse_count_pmf(sc)  # memoise the law first: it is not a table
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sums = env._active_sums(4, 2**32 - 1, rng)
-        del sums
+        env = RadarEnv(sc)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(env._tables) == env._top_level + 1 == 11
+    assert len(env._tables) == 11
     floats = sum(len(cdf) for lo, cdf in env._tables)
     assert floats <= 2 * casestudies._COUNT_CHUNK
     assert kept < 8 * 2 * casestudies._COUNT_CHUNK, f"{kept / 1024:.0f} KiB"
+
+
+def test_radar_pull_leaves_its_count_tables_as_built():
+    """A pull of 2**32 - 1 plays, past the reach of every table, reads
+    the tables built with the environment and neither adds nor changes
+    one."""
+    env = RadarEnv(RadarScenario(noise_var=0.0))
+    tables = list(env._tables)
+    built = [(lo, cdf.tobytes()) for lo, cdf in tables]
+    env.pull_arms_sum(np.array([1]), 2**32 - 1, np.random.default_rng(0))
+    assert len(env._tables) == len(tables) == 11
+    assert all(a is b for a, b in zip(env._tables, tables))
+    assert [(lo, cdf.tobytes()) for lo, cdf in env._tables] == built
 
 
 def test_radar_active_pull_memory_is_bounded():

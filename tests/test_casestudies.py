@@ -656,7 +656,7 @@ def test_count_tables_match_direct_convolution():
     support, pmf = pulse_count_pmf(RadarScenario())
     law = np.array(pmf)
     for i in range(8):
-        lo, cdf = env._count_table(i)
+        lo, cdf = env._tables[i]
         first = lo - support[0] * 2**i
         want = np.cumsum(law)
         assert 0 <= first and first + len(cdf) <= len(law)
@@ -677,18 +677,17 @@ def test_count_tables_keep_the_moments_of_their_plays():
     support, pmf = pulse_count_pmf(sc)
     mu = float(support @ pmf)
     var = float((support - mu) ** 2 @ pmf)
-    top = env._top_level
+    top = len(env._tables) - 1
     assert top == 10
     assert (len(pmf) - 1) * 2**top + 1 == 58_369 <= casestudies._COUNT_CHUNK
     assert (len(pmf) - 1) * 2 ** (top + 1) + 1 > casestudies._COUNT_CHUNK
     for i in range(top + 1):
-        lo, cdf = env._count_table(i)
+        lo, cdf = env._tables[i]
         assert len(cdf) <= (len(pmf) - 1) * 2**i + 1
         x, p = lo + np.arange(len(cdf)), np.diff(cdf, prepend=0.0)
         mean = float(x @ p)
         assert mean == pytest.approx(2**i * mu, rel=1e-10), i
         assert float((x - mean) ** 2 @ p) == pytest.approx(2**i * var, rel=1e-10), i
-    assert len(env._tables) == top + 1
 
 
 # 3 * 2**11 + 5 plays reach past the deepest table (1024 plays), so they
@@ -763,6 +762,22 @@ def test_load_iq_rejects_bad_files(tmp_path):
         fh.write("n,i,q\n")
     with pytest.raises(CsvFormatError):
         load_iq_csv(empty)
+
+    for k, value in enumerate(("inf", "-inf", "nan")):
+        non_finite = tmp_path / f"e{k}.csv"
+        with open(non_finite, "w") as fh:
+            fh.write(f"n,i,q\n0,1.0,2.0\n1,3.0,{value}\n")
+        with pytest.raises(CsvFormatError, match="non-finite sample at row 3"):
+            load_iq_csv(non_finite)
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_radar_env_refuses_a_capture_whose_energy_overflows(value):
+    sc = RadarScenario()  # N = 96
+    i_arr = np.full(300, 0.5)
+    i_arr[7] = value
+    with pytest.raises(CsvFormatError, match="overflow"):
+        RadarEnv(sc, iq=(i_arr, np.zeros(300)))
 
 
 def test_radar_env_iq_needs_full_window():

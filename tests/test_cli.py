@@ -370,6 +370,37 @@ def test_case_radar_non_finite_noise_var_fails(capsys, tmp_path, value):
     assert_one_error(status, out, err, "SupportViolation", out_path)
 
 
+def test_case_radar_noise_var_whose_variance_overflows_fails(capsys, tmp_path):
+    # 96 * 1e308**2 overflows the idle play variance N * noise_var**2
+    out_path = tmp_path / "radar.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["case-radar", "--noise-var", "1e308", "--plays", "300", "--trials", "3",
+         "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "SupportViolation", out_path)
+    assert "noise_var" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e200"])
+def test_case_radar_hostile_capture_fails_once(capsys, tmp_path, value):
+    """A capture with a non-finite sample is refused at its row; one whose
+    window energies overflow is refused whole, with no numpy warning."""
+    capture = tmp_path / "hostile.csv"
+    rows = [f"{k},0.5,0.25\n" for k in range(200)]
+    rows[3] = f"3,{value},0.1\n"
+    capture.write_text("n,i,q\n" + "".join(rows))
+    out_path = tmp_path / "radar.csv"
+    status, out, err = run_cli(
+        capsys,
+        ["case-radar", "--iq", str(capture), "--plays", "300", "--trials", "3",
+         "--out", str(out_path)],
+    )
+    assert_one_error(status, out, err, "CsvFormatError", out_path)
+    message = json.loads(err)["message"]
+    assert ("row 5" in message) == (value != "1e200"), message
+
+
 def test_case_jammer_nan_noise_fails(capsys, tmp_path):
     out_path = tmp_path / "jammer.csv"
     status, out, err = run_cli(
@@ -533,6 +564,10 @@ def test_case_jammer_zero_trials_exits_2(capsys, tmp_path):
         ["group-mean-dist", "--bins", "0"],
         ["group-mean-dist", "--delta-min", "nan"],
         ["group-mean-dist", "--mu-star", "inf"],
+        # gap sums, and a gap span, that overflow
+        ["group-mean-dist", "--K", "4", "--delta-min", "1e308",
+         "--delta-max", "1.7e308", "--samples", "10"],
+        ["group-mean-dist", "--delta-min=-1.7e308", "--delta-max", "1.7e308"],
     ],
     ids=lambda argv: " ".join(argv),
 )

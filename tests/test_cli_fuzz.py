@@ -21,13 +21,16 @@ from hypothesis import strategies as st
 from bestarm.cli import main
 
 WORDS = [
-    "nan", "NaN", "inf", "-inf", "1e400", "1e300", "-1e300", "abc", "", " ",
-    "0x10", "1.5", "-0", "-1", "0", str(2**63), str(-(2**63) - 1), str(10**30),
-    "1_000", "٣",
+    "nan", "NaN", "inf", "-inf", "1e400", "1e300", "-1e300", "1.7e308",
+    "-1.7e308", "abc", "", " ", "0x10", "1.5", "-0", "-1", "0", str(2**63),
+    str(-(2**63) - 1), str(10**30), "1_000", "٣",
 ]
 HUGE = st.integers(min_value=2**33, max_value=10**40).map(str)
 NEGATIVE = st.integers(min_value=-(10**40), max_value=-1).map(str)
 HOSTILE = st.sampled_from(WORDS) | HUGE | NEGATIVE
+# finite values whose squares, sums or spans overflow
+OVERFLOWING = ["1e300", "-1e300", "1.7e308", "-1.7e308"]
+FLOATS = st.sampled_from(OVERFLOWING) | HOSTILE
 GRIDS = st.sampled_from([
     "1:1e300:1", "2:1e300:x2", "nan:5:1", "1:inf:1", "1:5:0", "1:5:-1",
     "5:1:x2", "1:5:x1", "1:5:xnan", "0:4:x2", "1,,2", "1:2", "1:2:3:4",
@@ -45,6 +48,16 @@ def trials():
     return small(1, 3) | st.sampled_from(
         ["0", "-1", "-5", "nan", "abc", "", "1.5", "1e3", str(-(10**30))]
     )
+
+
+def write_capture(workdir: Path, value: str, row: int) -> Path:
+    """A 120-sample capture whose windows outshine the idle channels, but
+    for the I sample `value` at `row`."""
+    rows = [f"{k},5.0,0.25\n" for k in range(120)]
+    rows[row] = f"{row},{value},0.25\n"
+    path = workdir / "capture.csv"
+    path.write_text("n,i,q\n" + "".join(rows))
+    return path
 
 
 @st.composite
@@ -137,17 +150,22 @@ def cli_args(draw, workdir: Path):
             "--seed", pick(draw, small(0, 5)),
         ]
         if draw(st.booleans()):
-            argv += ["--noise-var", pick(draw, st.just("21"))]
+            argv += ["--noise-var", pick(draw, st.just("21"), FLOATS)]
         if draw(st.booleans()):
             argv += ["--active-channel", pick(draw, small(1, 8))]
+        if draw(st.booleans()):
+            value = pick(draw, st.just("5.0"), FLOATS)
+            path = write_capture(workdir, value, draw(st.integers(0, 119)))
+            argv += ["--iq", str(path)]
         return argv
     return [
         "group-mean-dist",
         "--K", pick(draw, small(1, 16)),
         "--samples", pick(draw, small(1, 50)),
         "--bins", pick(draw, small(1, 20)),
-        "--delta-min", pick(draw, st.just("0.1")),
-        "--mu-star", pick(draw, st.just("1.0")),
+        "--delta-min", pick(draw, st.just("0.1"), FLOATS),
+        "--delta-max", pick(draw, st.just("0.4"), FLOATS),
+        "--mu-star", pick(draw, st.just("1.0"), FLOATS),
         "--seed", pick(draw, small(0, 5)),
     ]
 
@@ -164,12 +182,8 @@ def run_main(argv):
     return status, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_hostile_values_give_one_json_error_or_success(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = data.draw(cli_args(Path(tmp)), label="argv")
-        status, out, err = run_main(argv)
+def assert_one_json_error_or_success(argv):
+    status, out, err = run_main(argv)
     assert "Traceback" not in err
     if status == 0:
         # a header and at least one data row: never a silent empty table
@@ -181,6 +195,30 @@ def test_hostile_values_give_one_json_error_or_success(data):
     payload = json.loads(lines[0])
     assert set(payload) == {"code", "message"}, (argv, err)
     assert (status == 2) == (payload["code"] == "ConfigParse"), (argv, err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hostile_values_give_one_json_error_or_success(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(cli_args(Path(tmp)), label="argv")
+        assert_one_json_error_or_success(argv)
+
+
+@pytest.mark.parametrize("value", OVERFLOWING)
+@pytest.mark.parametrize(
+    "flag", ["--noise-var", "--iq", "--delta-min", "--delta-max", "--mu-star"]
+)
+def test_overflowing_float_gives_one_json_error_or_success(flag, value, tmp_path):
+    """Each float flag, and a capture sample, at each overflowing value with
+    every other value safe: the draws above reach these too seldom."""
+    if flag in ("--noise-var", "--iq"):
+        argv = ["case-radar", "--plays", "24,60", "--trials", "3"]
+        if flag == "--iq":
+            value = str(write_capture(tmp_path, value, 7))
+    else:
+        argv = ["group-mean-dist", "--K", "4", "--samples", "10", "--bins", "5"]
+    assert_one_json_error_or_success(argv + [f"{flag}={value}"])
 
 
 @pytest.mark.parametrize(

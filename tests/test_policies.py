@@ -221,6 +221,26 @@ def test_sh_one_arm_recommends_it_without_pulls():
     assert run.pulls_used == 0 and env.arm_pulls == {}
 
 
+class UlpEnv:
+    """Two arms whose sums of any pull are 7 and the next float above it,
+    which a division by n = 3 rounds to one mean."""
+
+    K = 2
+    best_arm = 2
+
+    def pull_arms_sum(self, arms, n, r):
+        return np.array([7.0, np.nextafter(7.0, 8.0)])[np.asarray(arms) - 1]
+
+
+@pytest.mark.parametrize("policy", [run_ue, run_sh])
+def test_policy_ranks_sums_that_a_division_would_merge(policy):
+    """UE and SH pull every alive arm n times and rank the sums, so the
+    larger of two sums one ulp apart wins even where their means tie."""
+    low, high = UlpEnv().pull_arms_sum(np.array([1, 2]), 3, None)
+    assert low < high and low / 3 == high / 3
+    assert policy(UlpEnv(), 6, rng()).recommended_arm == 2
+
+
 # ------------------------------------------------------------------ priors
 
 
