@@ -32,7 +32,6 @@ if "numpy" not in sys.modules and not any(
 from .core import (
     BanditInstance,
     Bernoulli,
-    BoundedUnit,
     Gaussian,
     gap_profile,
 )
@@ -41,7 +40,6 @@ from .errors import (
     BudgetTooSmall,
     ConfigParse,
     CsvFormatError,
-    DecodedDummyArm,
     DegenerateInterval,
     DuplicateBestArm,
     IndexOutOfRange,
@@ -73,10 +71,10 @@ from .casestudies import (
 )
 
 __all__ = [
-    "BanditInstance", "Bernoulli", "BoundedUnit", "Gaussian", "gap_profile",
+    "BanditInstance", "Bernoulli", "Gaussian", "gap_profile",
     "BestArmError", "BudgetTooSmall", "ConfigParse", "CsvFormatError",
-    "DecodedDummyArm", "DegenerateInterval", "DuplicateBestArm",
-    "IndexOutOfRange", "InvalidK", "IoFailure",
+    "DegenerateInterval", "DuplicateBestArm", "IndexOutOfRange",
+    "InvalidK", "IoFailure",
     "SeparabilityViolated", "SupportViolation",
     "construct_groups", "bound_re", "hardness",
     "BanditEnv", "ReOptions", "run_policy",

@@ -4,9 +4,8 @@ Arms are 1-indexed throughout the public API. Reward families:
 
 * ``Gaussian(sigma2)`` -- N(mu_a, sigma2) rewards, sigma2 >= 0 (zero gives a
   point mass, handy for noiseless checks).
-* ``Bernoulli()`` -- {0,1} rewards with mean mu_a in [0,1].
-* ``BoundedUnit()`` -- rewards in [0,1]; sampled as Bernoulli(mu_a), which is
-  the tested default for the bounded family.
+* ``Bernoulli()`` -- {0,1} rewards with mean mu_a in [0,1]; the bounds read
+  it as the bounded family.
 """
 
 from __future__ import annotations
@@ -66,12 +65,7 @@ class Bernoulli:
     pass
 
 
-@dataclass(frozen=True)
-class BoundedUnit:
-    pass
-
-
-Family = Gaussian | Bernoulli | BoundedUnit
+Family = Gaussian | Bernoulli
 
 
 @dataclass(frozen=True)
@@ -88,11 +82,9 @@ class BanditInstance:
             raise SupportViolation("instance needs at least one arm")
         if not all(map(math.isfinite, means)):
             raise SupportViolation("means must be finite")
-        if isinstance(self.family, (Bernoulli, BoundedUnit)):
+        if isinstance(self.family, Bernoulli):
             if min(means) < 0.0 or max(means) > 1.0:
-                raise SupportViolation(
-                    "Bernoulli/BoundedUnit means must lie in [0,1]"
-                )
+                raise SupportViolation("Bernoulli means must lie in [0,1]")
 
     @property
     def K(self) -> int:

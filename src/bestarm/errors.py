@@ -28,14 +28,6 @@ class InvalidK(BestArmError):
     the reward family is unknown, or a bound function got bad inputs."""
 
 
-class DecodedDummyArm(BestArmError):
-    """Decoding landed on a padding arm, signalling a failed detection."""
-
-    def __init__(self, arm: int, message: str | None = None):
-        super().__init__(message or f"decoded arm {arm} is a dummy padding arm")
-        self.arm = arm
-
-
 class BudgetTooSmall(BestArmError):
     """The budget T is below the algorithm's minimum."""
 

@@ -24,7 +24,6 @@ from .core import (
     MAX_K,
     BanditInstance,
     Bernoulli,
-    BoundedUnit,
     Family,
     Gaussian,
     RngStream,
@@ -102,9 +101,7 @@ class InstanceSpec:
     def instance_id(self) -> str:
         if self.label:
             return self.label
-        fam = {Gaussian: "gaussian", Bernoulli: "bernoulli", BoundedUnit: "bounded"}[
-            type(self.family)
-        ]
+        fam = "gaussian" if isinstance(self.family, Gaussian) else "bernoulli"
         return f"{self.generator}-K{self.K}-{fam}"
 
 
@@ -470,12 +467,12 @@ def _means(value) -> tuple[float, ...] | None:
 
 
 def _family(spec) -> Family:
-    """A family: "bernoulli", "bounded" or {"gaussian": {"sigma2": ...}}."""
+    """A family: "bernoulli" or {"gaussian": {"sigma2": ...}}."""
     if isinstance(spec, dict) and set(spec) == {"gaussian"}:
         return Gaussian(**_fields_from_json(Gaussian, spec["gaussian"], "gaussian"))
-    if spec not in ("bernoulli", "bounded"):
-        raise ConfigParse(f"unknown family spec: {spec!r}")
-    return Bernoulli() if spec == "bernoulli" else BoundedUnit()
+    if spec == "bernoulli":
+        return Bernoulli()
+    raise ConfigParse(f'unknown family {spec!r}; for rewards in [0,1] use "bernoulli"')
 
 
 def _fields_from_json(cls, payload, what: str) -> dict:

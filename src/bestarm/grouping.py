@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import check_arm, check_K
-from .errors import DecodedDummyArm, IndexOutOfRange
+from .errors import IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,19 @@ def detection_pattern(code: GroupCode, arm: int) -> tuple[int, ...]:
     return tuple((arm - 1) >> k & 1 for k in range(code.m))
 
 
-def decode_best_arm(code: GroupCode, detections) -> int:
-    """Invert detection_pattern: 1 + the integer spelled by the detection bits.
+def decode_best_arm(code: GroupCode, bits) -> np.ndarray | np.integer:
+    """Invert detection_pattern along the last axis: 1 + sum_k bit_k 2^k.
 
-    Raises DecodedDummyArm when the decoded index is a padding arm, which
-    signals that at least one group test failed on a padded instance.
+    A (rows, m) block gives one arm per row and one m-tuple gives a numpy
+    integer. Raises IndexOutOfRange unless the bits are integers or bools,
+    each 0 or 1, with m on the last axis; floats are refused, as for arms.
+    A pattern past K decodes to its padding index, which marks a failed
+    group test; the caller chooses the fallback.
     """
-    detections = tuple(int(b) for b in detections)
-    if len(detections) != code.m:
-        raise IndexOutOfRange(
-            f"expected {code.m} detection bits, got {len(detections)}"
-        )
-    if any(b not in (0, 1) for b in detections):
-        raise IndexOutOfRange(f"detection bits must be 0/1, got {detections}")
-    arm = 1 + sum(b << k for k, b in enumerate(detections))
-    if arm > code.K_orig:
-        raise DecodedDummyArm(arm)
-    return arm
+    bits = np.asarray(bits)
+    if bits.shape[-1:] != (code.m,) or bits.dtype.kind not in "biu":
+        raise IndexOutOfRange(f"need int bits of shape (..., {code.m}), got {bits!r}")
+    ints = bits.astype(np.int64, copy=False)
+    if (ints >> 1).any():  # an entry other than 0 or 1
+        raise IndexOutOfRange(f"detection bits must be 0/1, got {bits!r}")
+    return 1 + ints @ (1 << np.arange(code.m))

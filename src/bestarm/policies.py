@@ -29,10 +29,7 @@ import numpy as np
 from . import core
 from .core import BanditInstance, Gaussian, GapProfile
 from .errors import BudgetTooSmall, DegenerateInterval, SeparabilityViolated
-from .grouping import construct_groups
-# RE decodes a block with array arithmetic; decode_best_arm stays bound here
-# for tools that wrap this module's names (perfbench's tracer).
-from .grouping import decode_best_arm  # noqa: F401
+from .grouping import construct_groups, decode_best_arm
 
 _EPS_GAP = 1e-6  # floor for plug-in gap estimates
 
@@ -78,7 +75,7 @@ class BanditEnv:
     @property
     def sigma2(self) -> float | None:
         """Per-pull reward variance for the Gaussian LRT threshold; None for
-        the bounded families, which use the endpoint midpoint."""
+        Bernoulli rewards, which use the endpoint midpoint."""
         if isinstance(self.instance.family, Gaussian):
             return self.instance.family.sigma2
         return None
@@ -378,8 +375,8 @@ def run_re(
     Optional phase 1 (alpha > 0) pulls every arm floor(alpha*T/K) times to
     form mean estimates. Phase 2 plays each of the m binary groups
     floor((1-alpha)*T/m) times and compares the group mean against the LRT
-    threshold (Gaussian) or the endpoint midpoint (bounded families). The
-    detection bits spell the recommended arm, 1 + sum_k bit_k 2^k.
+    threshold (Gaussian) or the endpoint midpoint (Bernoulli), and
+    decode_best_arm spells the recommended arm from the detection bits.
 
     Group k is tested on its g_k real members alone. Its mean lies at or
     above mu_H*_k = mu_1 - (1 - 1/g_k) Delta_max when it holds the best
@@ -448,7 +445,7 @@ def run_re(
             pi0[fit], pi1[fit] = compute_priors(
                 group_hat[fit], *(a[fit] for a in args)
             )
-    # bounded families, inseparable groups and equal priors, whose LRT
+    # Bernoulli rewards, inseparable groups and equal priors, whose LRT
     # shift is zero, use the prior-free midpoint
     tau = 0.5 * (mu_H_star + mu_L_star)
     sigma2 = env.sigma2
@@ -468,7 +465,7 @@ def run_re(
     pulls_used += n_group * m
     bits = (r_bar > tau).astype(np.int64)
 
-    arm = 1 + (bits << np.arange(m)).sum(axis=1)
+    arm = decode_best_arm(code, bits)
     decoded_dummy = arm > K  # padding arms are K+1..K_padded
     if arm_hat is not None:
         fallback = np.argmax(arm_hat, axis=1) + 1

@@ -26,8 +26,8 @@ from bestarm.casestudies import (
     RadarScenario,
     _slots_that_can_start,
 )
-from bestarm.core import BanditInstance, Bernoulli, Gaussian, _check_arms
-from bestarm.errors import BudgetTooSmall, DecodedDummyArm, IndexOutOfRange
+from bestarm.core import BanditInstance, Gaussian, _check_arms
+from bestarm.errors import BudgetTooSmall, IndexOutOfRange
 from bestarm.grouping import construct_groups, decode_best_arm
 from bestarm.policies import (
     _EPS_GAP,
@@ -49,10 +49,8 @@ _COUNT_BLOCK = 8192
 def instance_to_json(instance: BanditInstance) -> str:
     if isinstance(instance.family, Gaussian):
         family = {"gaussian": {"sigma2": instance.family.sigma2}}
-    elif isinstance(instance.family, Bernoulli):
-        family = "bernoulli"
     else:
-        family = "bounded"
+        family = "bernoulli"
     payload = {"K": instance.K, "means": list(instance.means), "family": family}
     return json.dumps(payload)
 
@@ -491,15 +489,13 @@ def run_re(
         group["phase2_mean"] = r_bar
         detections.append(group["delta"])
 
-    try:
-        rec = decode_best_arm(code, detections)
-        decoded_dummy = False
-    except DecodedDummyArm as exc:
-        decoded_dummy = True
+    rec = int(decode_best_arm(code, detections))
+    decoded_dummy = rec > K
+    if decoded_dummy:
         if arm_hat is not None:
             rec = int(np.argmax(arm_hat)) + 1
         else:
-            rec = max(1, min(K, exc.arm % K))
+            rec = max(1, min(K, rec % K))
 
     diag["groups"] = groups
     diag["mu_H_star"] = min(mu_H_stars)

@@ -43,4 +43,7 @@ def test_traced_workload_run_is_correct(workload, tmp_path):
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, proc.stdout
+    if workload in ("radar", "re-exact"):
+        # RE decodes each block through the name the tracer wraps
+        assert last["metrics"]["grouping.decode_best_arm.s"]["value"] > 0, proc.stdout
     assert (bench / "out" / f"{workload}-trace.csv").is_file()

@@ -498,6 +498,18 @@ def test_hardness_nan_mean_fails(capsys, tmp_path):
     assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
 
 
+def test_hardness_bounded_family_is_refused(capsys, tmp_path):
+    # "bernoulli" draws the same law, and the message says so
+    path = tmp_path / "instance.json"
+    path.write_text('{"means": [1.0, 0.5], "family": "bounded"}')
+    out_path = tmp_path / "hardness.csv"
+    status, out, err = run_cli(
+        capsys, ["hardness", "--instance", str(path), "--out", str(out_path)]
+    )
+    assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
+    assert '"bernoulli"' in json.loads(err)["message"]
+
+
 def with_instance(**fields):
     return {"instance": {**SIM_CONFIG["instance"], **fields}}
 

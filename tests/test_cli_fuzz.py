@@ -60,16 +60,20 @@ def write_capture(workdir: Path, value: str, row: int) -> Path:
     return path
 
 
+# pick() calls per subcommand, counting flags that are drawn only sometimes
+PICKS = {
+    "groups": 1, "hardness": 0, "bounds": 2, "simulate": 8,
+    "case-jammer": 4, "case-radar": 5, "group-mean-dist": 7,
+}
+
+
 @st.composite
 def cli_args(draw, workdir: Path):
-    sub = draw(st.sampled_from([
-        "groups", "hardness", "bounds", "simulate",
-        "case-jammer", "case-radar", "group-mean-dist",
-    ]))
-    # one flag of the call (or none) takes a hostile value, so that the
-    # others let the run reach the code that must refuse it
-    hostile_slot = draw(st.integers(0, 7))
-    slots = iter(range(8))
+    sub = draw(st.sampled_from(list(PICKS)))
+    # one flag of the call (or, at slot PICKS[sub], none) takes a hostile
+    # value, so that the others let the run reach the code that must refuse it
+    hostile_slot = draw(st.integers(0, PICKS[sub]))
+    slots = iter(range(PICKS[sub]))
 
     def pick(draw, safe, hostile=HOSTILE):
         return draw(hostile if next(slots) == hostile_slot else safe)
@@ -83,7 +87,8 @@ def cli_args(draw, workdir: Path):
             max_size=5,
         ))
         family = draw(st.sampled_from(
-            [{"gaussian": {"sigma2": 0.1}}, "bernoulli", {"gaussian": {"sigma2": -1}}]
+            [{"gaussian": {"sigma2": 0.1}}, "bernoulli", {"gaussian": {"sigma2": -1}},
+             "bounded"]
         ))
         path = workdir / "instance.json"
         path.write_text(json.dumps({"means": means, "family": family}))
@@ -109,6 +114,7 @@ def cli_args(draw, workdir: Path):
                 "family": draw(st.sampled_from([
                     {"gaussian": {"sigma2": pick(draw, st.just(0.1), json_value)}},
                     "bernoulli",
+                    "bounded",
                 ])),
                 "mu_star": pick(draw, st.just(0.9), json_value),
                 "delta_min": pick(draw, st.just(0.5), json_value),

@@ -12,7 +12,6 @@ from bestarm import (
     BanditEnv,
     BanditInstance,
     Bernoulli,
-    BoundedUnit,
     ConfigParse,
     DuplicateBestArm,
     Gaussian,
@@ -37,7 +36,7 @@ def test_instance_rejects_unit_means_outside_01():
     with pytest.raises(SupportViolation):
         BanditInstance(means=(0.5, 1.2), family=Bernoulli())
     with pytest.raises(SupportViolation):
-        BanditInstance(means=(-0.1, 0.5), family=BoundedUnit())
+        BanditInstance(means=(-0.1, 0.5), family=Bernoulli())
     # Gaussian means are unconstrained
     BanditInstance(means=(-3.0, 7.5), family=Gaussian(1.0))
 
@@ -345,7 +344,7 @@ def test_instance_json_rejects_bad_payloads():
 def test_instance_json_round_trip_random(k, seed):
     r = np.random.default_rng(seed)
     means = tuple(np.round(r.uniform(0, 1, size=k), 6))
-    inst = BanditInstance(means=means, family=BoundedUnit())
+    inst = BanditInstance(means=means, family=Bernoulli())
     back = instance_from_json(instance_to_json(inst))
     assert back.means == pytest.approx(inst.means)
     assert math.isclose(sum(back.means), sum(inst.means))

@@ -9,7 +9,6 @@ import pytest
 from bestarm import (
     BanditInstance,
     Bernoulli,
-    BoundedUnit,
     ConfigParse,
     DuplicateBestArm,
     ExperimentConfig,
@@ -374,6 +373,11 @@ def test_config_defaults_are_the_dataclass_defaults():
 
 
 def test_config_rejections():
+    # "bounded" is no family; "bernoulli" draws the same law
+    bounded = (
+        '{"instance": {"K": 4, "generator": "single_gap",'
+        ' "family": "bounded"}, "budgets": [10]}'
+    )
     bad = [
         "not json",
         "[1, 2]",
@@ -411,6 +415,7 @@ def test_config_rejections():
         # generated means outside the family's support
         '{"instance": {"K": 4, "generator": "single_gap",'
         ' "family": "bernoulli", "mu_star": 1.5}, "budgets": [10]}',
+        bounded,
     ] + [
         # a whole-number field refuses bools, fractions, non-finite values,
         # strings and null
@@ -427,6 +432,8 @@ def test_config_rejections():
     for text in bad:
         with pytest.raises(ConfigParse):
             experiment_config_from_json(text)
+    with pytest.raises(ConfigParse, match='"bernoulli"'):
+        experiment_config_from_json(bounded)
 
 
 def test_run_experiment_tied_best_arm_runs_no_trial(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bestarm import DecodedDummyArm, IndexOutOfRange, InvalidK, construct_groups
+from bestarm import IndexOutOfRange, InvalidK, construct_groups
 from bestarm.core import MAX_K
 from bestarm.grouping import decode_best_arm, detection_pattern
 
@@ -110,28 +110,39 @@ def test_decode_inverts_pattern():
     assert decode_best_arm(construct_groups(8), (1, 0, 1)) == 6
 
 
-def test_decode_dummy_raises():
+def test_decode_past_k_returns_the_padding_index():
     code = construct_groups(6)
-    with pytest.raises(DecodedDummyArm) as exc:
-        decode_best_arm(code, (0, 1, 1))
-    assert exc.value.arm == 7
+    arm = decode_best_arm(code, (0, 1, 1))
+    assert arm == 7 and arm > code.K_orig
 
 
 def test_decode_validates_input():
     code = construct_groups(8)
-    with pytest.raises(IndexOutOfRange):
-        decode_best_arm(code, (0, 1))  # wrong length
-    with pytest.raises(IndexOutOfRange):
-        decode_best_arm(code, (0, 2, 0))  # not a bit
+    for bits in [
+        (0, 1),  # wrong length
+        (0, 2, 0),  # not a bit
+        (0.5, 0, 0),  # fractional bits are not truncated
+        (1.5, 0, 0),
+        np.zeros((4, 2), dtype=np.int64),  # wrong last axis on a block
+    ]:
+        with pytest.raises(IndexOutOfRange):
+            decode_best_arm(code, bits)
+
+
+@pytest.mark.parametrize("k", [5, 12])
+@pytest.mark.parametrize("dtype", [np.int64, bool])
+def test_decode_block_spells_every_pattern(k, dtype):
+    code = construct_groups(k)
+    bits = np.array(
+        [detection_pattern(code, arm) for arm in range(1, code.K_padded + 1)],
+        dtype=dtype,
+    )
+    arms = decode_best_arm(code, bits)
+    assert arms.tolist() == list(range(1, code.K_padded + 1))
 
 
 @given(st.integers(min_value=2, max_value=1024), st.data())
 def test_round_trip_random(k, data):
     code = construct_groups(k)
     arm = data.draw(st.integers(min_value=1, max_value=code.K_padded))
-    bits = detection_pattern(code, arm)
-    if arm in code.dummy_arms:
-        with pytest.raises(DecodedDummyArm):
-            decode_best_arm(code, bits)
-    else:
-        assert decode_best_arm(code, bits) == arm
+    assert decode_best_arm(code, detection_pattern(code, arm)) == arm

@@ -15,7 +15,6 @@ from bestarm import (
     BanditEnv,
     BanditInstance,
     Bernoulli,
-    BoundedUnit,
     Gaussian,
     IndexOutOfRange,
     RadarScenario,
@@ -149,7 +148,6 @@ BLOCK_ENVS = {
     "gaussian-0": bandit(Gaussian(0.0)),
     "gaussian-0.1": bandit(Gaussian(0.1)),
     "bernoulli": bandit(Bernoulli()),
-    "bounded-unit": bandit(BoundedUnit()),
     "jammer-0": lambda K: JammerEnv(JammerScenario(K, min(3, K), noise_var=0.0)),
     "jammer-0.01": lambda K: JammerEnv(JammerScenario(K, min(3, K), noise_var=0.01)),
     "radar": radar(False),
@@ -211,7 +209,7 @@ def test_re_runs_a_custom_group_hook_over_the_env_groups(K):
 
 
 class ArmHookEnv(BanditEnv):
-    """A bounded-family environment whose only override is the arm law
+    """A Bernoulli environment whose only override is the arm law
     hook: n plays of arm a sum to exactly n * a. The shapes it was asked
     for are recorded."""
 
@@ -227,7 +225,7 @@ class ArmHookEnv(BanditEnv):
 @pytest.mark.parametrize("K", [2, 12, 1024])
 def test_group_plays_average_a_custom_arm_hook(K):
     means = (0.2,) * (K - 1) + (0.9,)
-    env = ArmHookEnv(BanditInstance(means=means, family=BoundedUnit()))
+    env = ArmHookEnv(BanditInstance(means=means, family=Bernoulli()))
     got = env.pull_groups_sum(3, np.random.default_rng(0), 300)
     groups = construct_groups(K).groups
     want = [3.0 * members.sum() / len(members) for members in groups]
