@@ -22,7 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
-    BanditInstance, Gaussian, block_trials, check_arm, check_K, check_variance, is_real
+    BanditInstance, Gaussian, block_trials, check_arm, check_K, check_variance, is_real,
+    row_sums,
 )
 from .errors import CsvFormatError, SupportViolation
 from .experiments import run_cells
@@ -38,8 +39,6 @@ DEFAULT_RADAR_PLAYS = (1200, 3000, 6000)
 # Fraction of a microsecond used to absorb float error when a pulse edge
 # lands exactly on a sample instant.
 _EDGE_EPS = 1e-6
-# Plays per chunk when an I/Q capture's windows are drawn and summed.
-_SIGNAL_DRAWS = 200_000
 # Elements per working array while the pulse-count law is computed: small
 # enough that the arrays are reused from the heap instead of being mapped
 # and faulted in afresh for each chunk.
@@ -144,8 +143,8 @@ class RadarScenario:
 
     def __post_init__(self) -> None:
         check_K(self.K)
-        if not (0 < self.fs < math.inf and 0 < self.dwell_T < math.inf):
-            raise SupportViolation("fs and dwell_T must be finite and positive")
+        if not (self.fs > 0 and 0 < self.dwell_T * self.fs < math.inf):
+            raise SupportViolation("need fs, dwell_T > 0 with a finite product")
         if self.N < 1:
             raise SupportViolation(
                 f"a play needs N = dwell_T * fs >= 1 samples, got {self.N}"
@@ -445,25 +444,6 @@ def _trimmed_cdf(pmf) -> tuple[int, np.ndarray]:
     return first, cdf
 
 
-def _row_sums(rows: int, n: int, draw) -> np.ndarray:
-    """Sums of n consecutive per-play values for each of `rows` rows.
-
-    draw(k) returns the next k per-play values. All rows * n plays are
-    drawn in order, in chunks of at most _SIGNAL_DRAWS plays, so a pull of
-    any size holds a bounded number of them at once.
-    """
-    out = np.zeros(rows)
-    total = rows * n
-    for a in range(0, total, _SIGNAL_DRAWS):
-        b = min(total, a + _SIGNAL_DRAWS)
-        first = a // n
-        # where each row that meets [a, b) starts inside the chunk
-        starts = np.arange(first * n, b, n) - a
-        starts[0] = 0
-        out[first : first + len(starts)] += np.add.reduceat(draw(b - a), starts)
-    return out
-
-
 class RadarEnv(BanditEnv):
     """Arms are channels, rewards are play energies.
 
@@ -490,9 +470,10 @@ class RadarEnv(BanditEnv):
     it, n rounded down to a multiple of twice that level's plays, add one
     multinomial row of counts, drawn in chunks of block_trials(len(pmf))
     rows. An I/Q capture instead gives each play the energy of a uniformly
-    drawn window. The instance's Gaussian family carries the energy
-    variance N * noise_var**2 of an idle play for the RE threshold; no pull
-    draws from it.
+    drawn window, and core.row_sums adds a row's n plays, at most 2**16 at
+    a time. The instance's Gaussian family carries the energy variance
+    N * noise_var**2 of an idle play for the RE threshold; no pull draws
+    from it.
     """
 
     def __init__(self, scenario: RadarScenario, iq: tuple | None = None):
@@ -549,8 +530,8 @@ class RadarEnv(BanditEnv):
         N, nv = self.scenario.N, self.scenario.noise_var
         windows = self._windows
         if windows is not None:
-            return _row_sums(
-                rows, n, lambda k: windows[rng.integers(0, len(windows), size=k)]
+            return row_sums(
+                rows, n, lambda r, c: windows[rng.integers(0, len(windows), (r, c))]
             )
         n = int(n)
         signal = np.zeros(rows)
@@ -621,7 +602,7 @@ def run_radar_experiment(
     """
     if scenario is None:
         scenario = seeded_radar_scenario(master_seed)
-    iq = load_iq_csv(csv_path) if csv_path else None
+    iq = None if csv_path is None else load_iq_csv(csv_path)
     env = RadarEnv(scenario, iq=iq)
     label = f"radar-K{scenario.K}" + ("-iq" if iq is not None else "")
     opts = {

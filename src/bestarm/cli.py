@@ -48,11 +48,11 @@ def _read_text(path, what: str) -> str:
         raise ConfigParse(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _write_csv(header, rows, out_path) -> None:
+def _write_csv(header, rows, path) -> None:
     try:
-        fh = open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
+        fh = nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     except OSError as exc:
-        raise IoFailure(f"cannot write {out_path}: {exc}") from exc
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
     with fh as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -94,12 +94,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_case_jammer(args):
-    grid = (
-        parse_grid(args.noise_grid) if args.noise_grid else DEFAULT_JAMMER_NOISE_GRID
-    )
+    grid = args.noise_grid
     results = run_jammer_experiment(
         K=args.K,
-        noise_grid=grid,
+        noise_grid=DEFAULT_JAMMER_NOISE_GRID if grid is None else parse_grid(grid),
         T=args.T,
         trials=args.trials,
         master_seed=args.seed,

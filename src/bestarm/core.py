@@ -170,9 +170,23 @@ class RngStream:
 
 def block_trials(width: int) -> int:
     """Rows per working array when one row holds `width` floats: the most
-    with B * width <= 2**16, and at least one. It sizes sweep blocks, the
-    member draws of group plays and radar's multinomial chunks."""
+    with B * width <= 2**16, and at least one. It sizes the trial blocks of
+    experiments.run_cells, the draws of row_sums and radar's multinomial
+    chunks."""
     return max(1, 2**16 // width)
+
+
+def row_sums(rows: int, width: int, draw) -> np.ndarray:
+    """Row sums of a (rows, width) array that draw(r, c) yields in
+    row-major order, r rows of c entries a call: block_trials(width) whole
+    rows, or a wider row's next 2**16 entries. Width 0 draws nothing."""
+    out = np.zeros(rows)
+    step, cols = block_trials(max(width, 1)), min(width, 2**16)
+    for a in range(0, rows if width else 0, step):
+        r = min(step, rows - a)
+        for c in range(0, width, cols):
+            out[a : a + r] += draw(r, min(cols, width - c)).sum(1)
+    return out
 
 
 def _one_row(a: np.ndarray) -> np.ndarray:

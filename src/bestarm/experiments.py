@@ -29,6 +29,7 @@ from .core import (
     RngStream,
     block_trials,
     gap_profile,
+    row_sums,
 )
 from .errors import BestArmError, ConfigParse, SupportViolation
 from .hardness import (
@@ -52,9 +53,6 @@ MAX_BUDGET = 2**32
 # Most draws group_mean_distribution takes; its group means are two arrays
 # of this many floats.
 MAX_SAMPLES = 10**7
-# Gap draws per block of group_mean_distribution: (rows, K/2) arrays of at
-# most this many floats keep its memory O(samples + block).
-_GAP_BLOCK = 2**20
 
 GENERATORS = (
     "arithmetic",
@@ -605,23 +603,18 @@ def group_mean_distribution(
         raise ConfigParse(f"delta_min {delta_min} > delta_max {delta_max}")
     rng = np.random.default_rng([master_seed, K, samples])
     half = K // 2
-    rows = max(1, _GAP_BLOCK // half)
     # Gaps whose span, sums, group means or moments overflow are refused:
     # numpy's uniform refuses the span, Python's ** the squared span, and
     # numpy's arithmetic raises under this errstate.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # A uniform draw fills its array in order, so drawing all gaps_h
-            # rows and then all gaps_l rows block by block makes the same
+            # A uniform draw fills its array in order, so summing all gaps_h
+            # rows and then all gaps_l rows through row_sums makes the same
             # values as two (samples, ...) draws, without holding them.
-            gap_sums = []
-            for width in (half - 1, half):
-                total = np.empty(samples)
-                for a in range(0, samples, rows):
-                    size = (min(rows, samples - a), width)
-                    gaps = rng.uniform(delta_min, delta_max, size=size)
-                    total[a : a + rows] = gaps.sum(axis=1)
-                gap_sums.append(total)
+            def gaps(r, c):
+                return rng.uniform(delta_min, delta_max, (r, c))
+
+            gap_sums = [row_sums(samples, w, gaps) for w in (half - 1, half)]
             mu_h = mu_star - gap_sums[0] / half
             mu_l = mu_star - gap_sums[1] / half
             emp_mean_h, emp_mean_l = float(mu_h.mean()), float(mu_l.mean())

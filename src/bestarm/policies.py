@@ -143,8 +143,9 @@ class BanditEnv:
         """A group play averages one draw per member. A Gaussian law draws
         N(mean mu, _group_var) for all groups from one standard normal
         array, scaled and shifted in place; any other averages each group's
-        `_arm_sums` on a broadcast row of its members, in chunks of
-        block_trials(g_k) rows that draw as one (trials, g_k) pull."""
+        `_arm_sums` on broadcast rows of its members through core.row_sums,
+        whose whole-row chunks draw as one (trials, g_k) pull (a group has
+        at most 2**15 members, so no row is split)."""
         if isinstance(self.instance.family, Gaussian):
             sums = rng.standard_normal((len(self._groups), trials))
             sums *= np.sqrt(n * self._group_var)[:, None]
@@ -152,10 +153,10 @@ class BanditEnv:
             return sums.T
         out = np.empty((trials, len(self._groups)))
         for k, idx in enumerate(self._groups):
-            step = core.block_trials(len(idx))
-            for a in range(0, trials, step):
-                rows = np.broadcast_to(idx, (min(step, trials - a), len(idx)))
-                out[a : a + step, k] = self._arm_sums(rows, n, rng).sum(1) / len(idx)
+            def draw(r, c):
+                return self._arm_sums(np.broadcast_to(idx, (r, c)), n, rng)
+
+            out[:, k] = core.row_sums(trials, len(idx), draw) / len(idx)
         return out
 
 

@@ -33,9 +33,8 @@ from bestarm.casestudies import (
     JammerScenario,
     RadarEnv,
     RadarScenario,
-    _row_sums,
 )
-from bestarm.core import MAX_K, RngStream, block_trials
+from bestarm.core import MAX_K, RngStream, block_trials, row_sums
 from bestarm.experiments import group_mean_distribution, run_cells
 from bestarm.grouping import construct_groups
 from bestarm.policies import run_policy
@@ -551,14 +550,61 @@ def test_radar_active_pull_memory_is_bounded():
     assert extra < 4 * 8 * 2**16, f"{extra / 1024:.0f} KiB"
 
 
-@pytest.mark.parametrize("rows,n", [(1, 1), (3, 5), (7, 60_000), (2, 450_001)])
+@pytest.mark.parametrize(
+    "rows,n", [(1, 1), (3, 5), (7, 60_000), (2, 450_001), (0, 5), (4, 0), (0, 0)]
+)
 def test_row_sums_chunking_keeps_row_order(rows, n):
-    def draws(seed):
-        r = np.random.default_rng(seed)
-        return lambda k: r.integers(0, 1000, size=k)
+    """Chunked draws of at most 2**16 entries, whole rows or a wide row's
+    columns, sum to the rows of one (rows, n) draw; a width or row count
+    of 0 calls no draw and gives `rows` zeros."""
+    r, calls = np.random.default_rng(1), []
 
-    whole = draws(1)(rows * n).reshape(rows, n).sum(axis=1)
-    assert np.array_equal(_row_sums(rows, n, draws(1)), whole)
+    def draw(a, b):
+        calls.append((a, b))
+        assert a * b <= 2**16 and (a == 1 or b == n)
+        return r.integers(0, 1000, size=(a, b))
+
+    whole = np.random.default_rng(1).integers(0, 1000, size=(rows, n)).sum(axis=1)
+    got = row_sums(rows, n, draw)
+    assert got.shape == (rows,) and np.array_equal(got, whole)
+    assert sum(a * b for a, b in calls) == rows * n
+    if rows * n:
+        assert calls[0][0] == min(rows, block_trials(n))
+    else:
+        assert calls == []
+
+
+def test_radar_iq_pull_memory_is_bounded():
+    """An I/Q pull of 300 000 plays a row holds a few 2**16-entry draws at
+    once, not every play of a row or a fixed larger chunk of plays."""
+    g = np.random.default_rng(3)
+    env = RadarEnv(RadarScenario(), iq=(g.normal(size=4000), g.normal(size=4000)))
+    rng = np.random.default_rng(0)
+    env._active_sums(2, 1000, rng)  # warm-up
+    tracemalloc.start()
+    try:
+        got = env._active_sums(2, 300_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2,) and (got > 0).all()
+    assert peak < 4 * 8 * 2**16, f"{peak / 1024:.0f} KiB"
+
+
+def test_group_mean_distribution_gap_draws_are_bounded():
+    """Beyond its two gap-sum and two group-mean arrays, a draw at
+    K = 1024 holds a few 2**16-float buffers (gap rows, histogram blocks),
+    not a (rows, K/2) block of 2**20 gaps."""
+    samples = 100_000
+    group_mean_distribution(1024, 0.1, 0.4, samples=1000)  # warm-up
+    tracemalloc.start()
+    try:
+        group_mean_distribution(1024, 0.1, 0.4, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - 4 * 8 * samples
+    assert extra < 6 * 8 * 2**16, f"{extra / 1024:.0f} KiB"
 
 
 def test_group_mean_distribution_memory_is_bounded():

@@ -194,6 +194,10 @@ def test_radar_scenario_defaults_and_validation():
         RadarScenario(fs=0.0)
     with pytest.raises(SupportViolation):
         RadarScenario(dwell_T=-1.0)
+    # dwell_T * fs overflows, or is not a number, before N rounds it
+    for fs, dwell_T in ((1e300, 1e300), (math.inf, 30e-6), (3.2e6, math.nan)):
+        with pytest.raises(SupportViolation, match="fs, dwell_T"):
+            RadarScenario(fs=fs, dwell_T=dwell_T)
     for noise_var in (-2.0, "21", False):
         with pytest.raises(SupportViolation, match="noise_var"):
             RadarScenario(noise_var=noise_var)

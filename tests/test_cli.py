@@ -556,6 +556,27 @@ def test_simulate_bad_config_value_exits_2(capsys, tmp_path, override):
     assert_one_error(status, out, err, "ConfigParse", out_path, exit_code=2)
 
 
+@pytest.mark.parametrize(
+    "argv, code, exit_code",
+    [
+        (["case-jammer", "--noise-grid", ""], "ConfigParse", 2),
+        (["case-radar", "--iq", ""], "IoFailure", 1),
+    ],
+    ids=["case-jammer --noise-grid ''", "case-radar --iq ''"],
+)
+def test_empty_flag_value_is_not_the_default(capsys, tmp_path, argv, code, exit_code):
+    """An empty grid or capture path is refused, not read as "not given"."""
+    out_path = tmp_path / "out.csv"
+    status, out, err = run_cli(capsys, argv + ["--trials", "3", "--out", str(out_path)])
+    assert_one_error(status, out, err, code, out_path, exit_code=exit_code)
+
+
+def test_empty_out_path_fails_instead_of_writing_stdout(capsys):
+    status, out, err = run_cli(capsys, ["groups", "--K", "8", "--out", ""])
+    assert status == 1 and out == ""
+    assert [json.loads(line)["code"] for line in err.splitlines()] == ["IoFailure"]
+
+
 def test_case_jammer_zero_trials_exits_2(capsys, tmp_path):
     out_path = tmp_path / "jammer.csv"
     status, out, err = run_cli(
